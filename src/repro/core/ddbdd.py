@@ -19,21 +19,27 @@ as a pass pipeline (``sweep;collapse;synth;map``);
 pipeline for its config.  This module keeps the flow's result type and
 the reference serial supernode engine
 (:func:`serial_supernodes` — Algorithm 1 step 3), which the ``synth``
-pass and the wavefront engine's degenerate fallback both execute.
+pass runs when neither a process pool, a cache nor a resilience guard
+is in play, and the buffer/inverter test (:func:`as_literal`) that both
+supernode engines share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.analysis.hooks import StageVerifier
 from repro.core.collapse import CollapseStats
 from repro.core.config import DDBDDConfig
 from repro.core.dp import BDDSynthesizer, SupernodeResult
 from repro.network.depth import topological_order
-from repro.network.netlist import BooleanNetwork
-from repro.runtime.stats import RuntimeStats
+from repro.network.netlist import BooleanNetwork, Node
+
+if TYPE_CHECKING:
+    # Type-only: importing repro.runtime here would cycle back through
+    # repro.runtime.schedule, which imports as_literal from this module.
+    from repro.runtime.stats import RuntimeStats
 
 
 @dataclass
@@ -99,7 +105,7 @@ def serial_supernodes(
             resolve[name] = (const_name, False, 0)
             external.add(const_name)
             continue
-        lit = _as_literal(work, node)
+        lit = as_literal(work, node)
         if lit is not None:
             src, negated = lit
             base, base_neg, d = resolve[src]
@@ -125,9 +131,10 @@ def serial_supernodes(
     return supernode_results
 
 
-def _as_literal(net: BooleanNetwork, node) -> Optional[Tuple[str, bool]]:
+def as_literal(net: BooleanNetwork, node: Node) -> Optional[Tuple[str, bool]]:
     """If the node is a buffer/inverter of one signal, return
-    ``(source, negated)``."""
+    ``(source, negated)``.  Both supernode engines treat such a node as
+    a free rewiring of its source rather than a supernode."""
     if len(node.fanins) != 1:
         return None
     v = net.var_of(node.fanins[0])

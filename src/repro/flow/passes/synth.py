@@ -4,35 +4,33 @@ Visits the collapsed network's supernodes and emits each one's best
 delay-driven decomposition into the mapped K-LUT network.  Two engines
 implement the identical contract (cell-for-cell equal output):
 
-* ``serial`` — the reference topological loop
+* the reference topological loop
   (:func:`repro.core.ddbdd.serial_supernodes`);
-* ``wavefront`` — the :mod:`repro.runtime` phase A/B engine
+* the :mod:`repro.runtime` phase A/B engine
   (:func:`repro.runtime.schedule.wavefront_supernodes`): topological
-  wavefronts over a process pool plus the persistent content-addressed
-  DP cache.
+  wavefronts over a process pool, the content-addressed DP cache and
+  the resilience guards.
 
-Pass options (flow script: ``synth(jobs=4, cache=readwrite)``) override
-the corresponding :class:`~repro.core.config.DDBDDConfig` knobs for
-this pass only; ``engine=auto`` (default) picks the serial loop exactly
-when ``jobs == 1`` and the cache is off, reproducing the historical
-dispatch of ``ddbdd_synthesize``.
+:func:`runs_serial` is the one place that chooses between them.  Pass
+options (flow script: ``synth(jobs=4, cache=readwrite)``) override the
+corresponding :class:`~repro.core.config.DDBDDConfig` knobs for this
+pass only.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 from repro.analysis.diagnostics import WARNING, raise_on_errors, with_stage
 from repro.analysis.failcheck import check_failure_reports
 from repro.core.config import DDBDDConfig
 from repro.core.ddbdd import serial_supernodes
-from repro.flow.pipeline import BasePass, FlowError
+from repro.flow.pipeline import BasePass
 from repro.flow.registry import register_pass
 from repro.flow.state import FlowState
 from repro.network.netlist import BooleanNetwork
 from repro.runtime.schedule import wavefront_supernodes
-
-_ENGINES = ("auto", "serial", "wavefront")
 
 
 @register_pass("synth")
@@ -42,37 +40,19 @@ class SynthPass(BasePass):
     requires = ("work",)
     provides = ("mapped",)
     option_names = (
-        "engine",
         "jobs",
         "cache",
         "cache_dir",
         "cache_max_entries",
-        "cache_tier",
         "fleet_weight",
     )
-
-    def __init__(self, **options: object) -> None:
-        super().__init__(**options)
-        engine = self.options.get("engine", "auto")
-        if engine not in _ENGINES:
-            raise FlowError(
-                f"synth engine must be one of {', '.join(_ENGINES)}, got {engine!r}"
-            )
-        self.engine: str = str(engine)
 
     def effective_config(self, config: DDBDDConfig) -> DDBDDConfig:
         """``config`` with this pass's runtime-knob overrides applied
         (validation runs through ``DDBDDConfig.__post_init__``)."""
         overrides = {
             key: self.options[key]
-            for key in (
-                "jobs",
-                "cache",
-                "cache_dir",
-                "cache_max_entries",
-                "cache_tier",
-                "fleet_weight",
-            )
+            for key in self.option_names
             if key in self.options
         }
         return replace(config, **overrides) if overrides else config
@@ -92,14 +72,8 @@ class SynthPass(BasePass):
             state.resolve.update({pi: (pi, False, 0) for pi in state.work.pis})
             state.external.update(state.work.pis)
 
-        serial = self.engine == "serial" or (
-            self.engine == "auto"
-            and config.effective_jobs == 1
-            and config.cache == "off"
-            and not config.resilience_active
-        )
         n_failures_before = len(stats.failures)
-        if serial:
+        if runs_serial(config):
             with stats.stage("supernodes"):
                 results = serial_supernodes(
                     state.work, state.mapped, config, state.verifier,
@@ -107,9 +81,7 @@ class SynthPass(BasePass):
                 )
             stats.supernodes += len(results)
         else:
-            # The wavefront engine accounts its own supernode count and
-            # may itself degrade to the serial loop on a one-core,
-            # cache-off deployment (see repro.runtime.schedule).
+            # The wavefront engine accounts its own supernode count.
             with stats.stage("supernodes"):
                 results = wavefront_supernodes(
                     state.work, state.mapped, config, state.verifier,
@@ -130,3 +102,20 @@ class SynthPass(BasePass):
             )
             raise_on_errors(diags, stage="synth")
         return state
+
+
+def runs_serial(config: DDBDDConfig) -> bool:
+    """Whether ``config`` takes the serial supernode loop.
+
+    The wavefront engine's DAG-export / job / record-replay indirection
+    exists to cross a process or cache boundary, and it hosts the
+    budget/fault guards; with no cache, no resilience machinery and at
+    most one usable worker it is pure overhead (~15%), so such runs
+    take the contractually identical serial loop — without building a
+    wave plan.
+    """
+    return (
+        config.cache == "off"
+        and not config.resilience_active
+        and min(config.effective_jobs, os.cpu_count() or 1) == 1
+    )

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a parsed ``DDBDD_FAULTS`` specification — a
 seeded, reproducible list of faults to fire at well-defined injection
-points in :mod:`repro.runtime.pool`, :mod:`repro.runtime.cache` and the
+points in :mod:`repro.runtime.pool`, :mod:`repro.runtime.tiers` and the
 DP budget meter.  Grammar (whitespace-insensitive)::
 
     plan  := fault (';' fault)*
@@ -17,7 +17,7 @@ fault fires before disarming itself.  Examples::
     stall@job=7:2.5s                   # job 7 sleeps 2.5s before the DP
     raise@job=2                        # job 2 raises InjectedFault
     blowup@job=5                       # job 5's meter reports a node blow-up
-    corrupt_shard@put=5                # the 5th cache put is truncated
+    corrupt_shard@put=5                # the 5th cache put is torn
     crash_worker@job=1x5               # job 1 crashes its worker 5 times
     net_timeout@get=3                  # the 3rd remote GET times out
     net_refuse@put=2                   # the 2nd remote PUT is refused
@@ -40,8 +40,8 @@ kind               site  effect at the injection point
 ``blowup``         job   force the job's :class:`~repro.resilience.budget.
                          BudgetMeter` to report a ``"nodes"`` breach,
                          modelling a BDD blow-up
-``corrupt_shard``  put   truncate the just-written cache shard,
-                         modelling a torn write
+``corrupt_shard``  put   overwrite the just-committed sqlite cache
+                         row with garbage, modelling a torn write
 ``net_timeout``    get/  the addressed remote-tier op times out at the
                    put   socket, modelling a dead or partitioned shard
 ``net_refuse``     get/  the addressed remote-tier op sees a refused
@@ -338,7 +338,7 @@ def forced_blowup(seq: int) -> bool:
 
 
 def note_put() -> bool:
-    """Injection point: a cache shard was just written; corrupt it?"""
+    """Injection point: a cache row was just written; corrupt it?"""
     return _ACTIVE is not None and _ACTIVE.note_put()
 
 

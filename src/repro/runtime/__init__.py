@@ -12,12 +12,11 @@ provides an equivalent engine that
   singleflight dedup per content signature
   (:mod:`repro.runtime.fleet`),
 * memoizes supernode DP emissions in a tiered content-addressed store —
-  in-process LRU over a cross-process-safe sqlite file, with the legacy
-  sharded-JSON layout as a read-compatible migration tier and an
+  in-process LRU over a cross-process-safe sqlite file, with an
   optional remote HTTP shard (a ``ddbdd serve --cache-root`` daemon)
   as the slowest rung, fault-hardened behind per-endpoint circuit
   breakers (:mod:`repro.runtime.tiers`, :mod:`repro.runtime.remote`,
-  :mod:`repro.runtime.cache`, :mod:`repro.runtime.signature`),
+  :mod:`repro.runtime.signature`),
 * coordinates whole *fleets* of daemons sharing one cache root through
   generation-stamped sqlite claim leases, so each content signature is
   computed exactly once fleet-wide even across process boundaries
@@ -30,14 +29,14 @@ provides an equivalent engine that
   breached jobs are resynthesized via the degradation ladder
   (:mod:`repro.resilience.ladder`).
 
-The engine is engaged by the ``synth`` pass of the
-:mod:`repro.flow` pipeline when ``DDBDDConfig.jobs != 1`` or
-``DDBDDConfig.cache != "off"`` (or forced via the ``engine=wavefront``
-pass option), and is contractually deterministic: its output network is
-identical — names, fanins, functions — to the serial loop's.
+The engine is engaged by the ``synth`` pass of the :mod:`repro.flow`
+pipeline when the cache is on, a budget or fault plan is armed, or
+more than one worker can run (``min(jobs, cpu_count) > 1``); otherwise
+the pass runs the serial loop.  It is contractually deterministic: its
+output network is identical — names, fanins, functions — to the serial
+loop's.
 """
 
-from repro.runtime.cache import DEFAULT_MAX_ENTRIES, EmissionCache
 from repro.runtime.fleet import (
     FleetRequest,
     FleetScheduler,
@@ -56,6 +55,7 @@ from repro.runtime.remote import (
 )
 from repro.runtime.tiers import (
     CacheTelemetry,
+    DEFAULT_MAX_ENTRIES,
     MemoryTier,
     SqliteTier,
     TieredEmissionCache,
@@ -82,7 +82,6 @@ from repro.runtime.schedule import (
     WaveLevel,
     WavePlan,
     plan_wavefronts,
-    run_wavefronts,
     wavefront_supernodes,
 )
 from repro.runtime.signature import (
@@ -98,7 +97,6 @@ from repro.runtime.stats import FailureReport, RuntimeStats
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "CacheTelemetry",
-    "EmissionCache",
     "FleetRequest",
     "FleetScheduler",
     "MemoryTier",
@@ -132,7 +130,6 @@ __all__ = [
     "WaveLevel",
     "WavePlan",
     "plan_wavefronts",
-    "run_wavefronts",
     "wavefront_supernodes",
     "SIGNATURE_VERSION",
     "CanonicalDAG",

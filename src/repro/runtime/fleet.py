@@ -30,7 +30,7 @@ both:
   injection (whose results are never shared) — releases followers to
   retry *independently* (``dedup_retries``); a poisoned or degraded
   result is never handed to a waiter.
-* **One store per cache root.**  Tiered stores
+* **One store per cache root.**  Stores
   (:class:`~repro.runtime.tiers.TieredEmissionCache`) are registered
   per resolved ``cache_dir``, so every request sharing a root shares
   the in-process memory tier.
@@ -60,11 +60,10 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import DDBDDConfig
 from repro.resilience import faults as fault_mod
-from repro.runtime.cache import EmissionCache
 from repro.runtime.emission import EmissionRecord, verify_record
 from repro.runtime.pool import (
     JobOutcome,
@@ -99,10 +98,6 @@ FLIGHT_WAIT_TIMEOUT_S = 300.0
 #: budget.
 CLAIM_POLL_S = 0.02
 CLAIM_REAP_TICKS = 250
-
-#: Either cache backend, or no cache at all.
-CacheStore = Union[TieredEmissionCache, EmissionCache]
-
 
 @dataclass(frozen=True)
 class WaveItem:
@@ -144,7 +139,7 @@ class FleetRequest:
 
     config: DDBDDConfig
     stats: RuntimeStats
-    store: Optional[CacheStore] = None
+    store: Optional[TieredEmissionCache] = None
     tele: Optional[CacheTelemetry] = None
     runner: Optional[JobRunner] = None
     events: List[PoolFailureEvent] = field(default_factory=list)
@@ -201,25 +196,21 @@ class FleetRequest:
         self, key: str, job: Optional[SupernodeJob] = None
     ) -> Optional[EmissionRecord]:
         assert self.store is not None
-        if isinstance(self.store, TieredEmissionCache):
-            verify = None
-            name = ""
-            if job is not None:
-                bound_job = job
-                verify = lambda record: self.verify(record, bound_job)  # noqa: E731
-                name = bound_job.name
-            return self.store.get(
-                key, self.tele, promote_disk=self.writable, verify=verify, job=name
-            )
-        return self.store.get(key)
+        verify = None
+        name = ""
+        if job is not None:
+            bound_job = job
+            verify = lambda record: self.verify(record, bound_job)  # noqa: E731
+            name = bound_job.name
+        return self.store.get(
+            key, self.tele, promote_disk=self.writable, verify=verify, job=name
+        )
 
     def store_put(
         self, key: str, record: EmissionRecord, job_name: str = ""
     ) -> bool:
         assert self.store is not None
-        if isinstance(self.store, TieredEmissionCache):
-            return self.store.put(key, record, self.tele, job=job_name)
-        return self.store.put(key, record)
+        return self.store.put(key, record, self.tele, job=job_name)
 
     def note_claim(self, event: str, n: int = 1) -> None:
         """Bump one cross-daemon claim counter on the run's stats."""
@@ -227,10 +218,7 @@ class FleetRequest:
 
     def store_invalidate(self, key: str) -> None:
         assert self.store is not None
-        if isinstance(self.store, TieredEmissionCache):
-            self.store.invalidate(key, self.tele)
-        else:
-            self.store.invalidate(key)
+        self.store.invalidate(key)
 
     def verify(self, record: EmissionRecord, job: SupernodeJob) -> bool:
         return verify_record(record, job.dag, job.polarities, self.config.k)
@@ -253,17 +241,11 @@ class FleetScheduler:
     # ------------------------------------------------------------------
     # Registration and shared resources
     # ------------------------------------------------------------------
-    def store_for(self, config: DDBDDConfig) -> Optional[CacheStore]:
-        """The cache store this config should use (``None`` = cache off).
-
-        Tiered stores are shared per resolved cache root; legacy stores
-        are per-request (their counters *are* the run's counters, as
-        before the fleet existed).
-        """
+    def store_for(self, config: DDBDDConfig) -> Optional[TieredEmissionCache]:
+        """The cache store this config should use (``None`` = cache off),
+        shared per resolved cache root."""
         if config.cache == "off":
             return None
-        if config.cache_tier == "legacy":
-            return EmissionCache(config.cache_dir, max_entries=config.cache_max_entries)
         root = os.path.abspath(config.cache_dir)
         with self._lock:
             store = self._stores.get(root)
@@ -278,7 +260,7 @@ class FleetScheduler:
                 store.memory.max_entries = max(
                     1, min(DEFAULT_MEMORY_ENTRIES, config.cache_max_entries)
                 )
-            # The tier-4 remote client follows the latest request's
+            # The tier-3 remote client follows the latest request's
             # configuration: attach (or retune) the process-wide client
             # for the configured shard URL, or detach when the request
             # runs local-only.  Clients are registered per URL, so
@@ -299,7 +281,7 @@ class FleetScheduler:
         self,
         config: DDBDDConfig,
         stats: RuntimeStats,
-        store: Optional[CacheStore] = None,
+        store: Optional[TieredEmissionCache] = None,
         tele: Optional[CacheTelemetry] = None,
         runner: Optional[JobRunner] = None,
     ) -> Iterator[FleetRequest]:
@@ -407,7 +389,7 @@ class FleetScheduler:
         leases: Dict[str, int] = {}
         claim_waits: List[Tuple[WaveItem, Optional[_Flight], int]] = []
         if leaders and self._claims_enabled(req):
-            assert isinstance(req.store, TieredEmissionCache)
+            assert req.store is not None
             keyed = [item.key for item, _ in leaders if item.key is not None]
             grants = (
                 req.store.disk.claim_many(keyed, self._claim_owner())
@@ -465,7 +447,7 @@ class FleetScheduler:
             # (puts happen inside _compute_leaders) — and also on any
             # escape, so a dying daemon frees its waiters promptly.
             if leases:
-                assert isinstance(req.store, TieredEmissionCache)
+                assert req.store is not None
                 req.store.disk.release_claims(list(leases.items()))
                 req.note_claim("released", len(leases))
 
@@ -478,13 +460,12 @@ class FleetScheduler:
 
     # ------------------------------------------------------------------
     def _claims_enabled(self, req: FleetRequest) -> bool:
-        """Cross-daemon claims apply to shareable read-write tiered
-        runs: the tier-2 store is the coordination medium, so legacy
-        stores, read-only and cache-off runs are out, as are
-        job-fault-armed runs (whose results are never shareable)."""
+        """Cross-daemon claims apply to shareable read-write runs: the
+        tier-2 store is the coordination medium, so read-only and
+        cache-off runs are out, as are job-fault-armed runs (whose
+        results are never shareable)."""
         return (
-            isinstance(req.store, TieredEmissionCache)
-            and req.writable
+            req.writable
             and req.shares
             and req.config.cache_claims
         )
@@ -514,7 +495,7 @@ class FleetScheduler:
         this request registered for the key publishes on exit either
         way, so local followers are never stranded.
         """
-        assert isinstance(req.store, TieredEmissionCache)
+        assert req.store is not None
         assert item.key is not None
         store = req.store
         owner = self._claim_owner()
@@ -791,7 +772,6 @@ def reset_fleet() -> None:
 __all__ = [
     "CLAIM_POLL_S",
     "CLAIM_REAP_TICKS",
-    "CacheStore",
     "FLIGHT_WAIT_TIMEOUT_S",
     "FleetRequest",
     "FleetScheduler",

@@ -49,7 +49,11 @@ from repro._version import __version__
 #: ``released``; ``{}`` when claims never engaged), and ``failures``
 #: may now carry ``kind="remote"`` rows (remote-tier faults recovered
 #: by degrading to local tiers).
-STATS_SCHEMA = 3
+#:
+#: Schema 4 (legacy shard tier removed): ``cache_tiers`` lost its
+#: ``"shards"`` tier; it now holds ``memory``, ``sqlite`` and
+#: ``remote``.
+STATS_SCHEMA = 4
 
 #: The stable top-level key set of :meth:`RuntimeStats.as_dict`.
 #: Consumers may rely on these keys existing with these meanings for as
@@ -288,7 +292,7 @@ class RuntimeStats:
         ``{tier: {op: count}}`` over the
         :data:`~repro.runtime.tiers.TIER_NAMES` /
         :data:`~repro.runtime.tiers.TIER_OPS` vocabularies.  Empty for
-        legacy (``cache_tier="legacy"``) and cache-off runs.
+        cache-off runs.
     dedup_hits:
         Supernode computations this run *did not* execute because the
         fleet's singleflight layer let it splice another in-flight
@@ -308,7 +312,7 @@ class RuntimeStats:
         another daemon), ``hits`` (records spliced from a foreign
         daemon's compute), ``reaped`` (stale leases taken over),
         ``released`` (leases returned).  Empty when claims never
-        engaged (cache off/read-only/legacy, or claims disabled).
+        engaged (cache off/read-only, or claims disabled).
     failures:
         One :class:`FailureReport` row per recovered runtime failure
         (budget breaches resynthesized via the degradation ladder,

@@ -1,8 +1,8 @@
-"""Three-tier content-addressed store for supernode emission records.
+"""Tiered content-addressed store for supernode emission records.
 
 The fleet scheduler (:mod:`repro.runtime.fleet`) serves many concurrent
-synthesis requests from one process, so the flat sharded-JSON store of
-:mod:`repro.runtime.cache` grows a stack of tiers behind one interface:
+synthesis requests from one process, so the emission cache is a stack
+of tiers behind one interface:
 
 * **Tier 1 — memory** (:class:`MemoryTier`): a bounded in-process LRU
   (:class:`~repro.utils.BoundedMemo`-style cap) of verified
@@ -12,13 +12,10 @@ synthesis requests from one process, so the flat sharded-JSON store of
 * **Tier 2 — sqlite** (:class:`SqliteTier`): the persistent store, one
   WAL-mode sqlite file per cache root.  Every write is a transaction, so
   two daemons sharing a ``--cache-dir`` cannot tear or double-apply an
-  entry; reads bump a ``touched`` column for LRU eviction.
-* **Tier 3 — shards**: the legacy ``v1/ab/<sha>.json`` shard directory
-  (:class:`~repro.runtime.cache.EmissionCache` format), kept as a
-  *read-compatible migration path*: tiered runs never write it, but a
-  hit there is promoted into tiers 2 and 1 so an old cache directory
-  warms the new store on first contact.
-* **Tier 4 — remote** (:class:`~repro.runtime.remote.RemoteClient`,
+  entry; reads bump a ``touched`` column for LRU eviction.  Old
+  sharded-JSON cache directories (``v1/ab/<sha>.json``) are not read:
+  the store is content-addressed, so such a root simply runs cold once.
+* **Tier 3 — remote** (:class:`~repro.runtime.remote.RemoteClient`,
   attached via :attr:`TieredEmissionCache.remote`): a fault-hardened
   HTTP shard behind ``/v1/cache/<sig>`` on a serve daemon.  Walked
   last on reads — and only when the caller supplies a ``verify``
@@ -31,7 +28,7 @@ synthesis requests from one process, so the flat sharded-JSON store of
   ``kind="remote"`` :class:`~repro.runtime.stats.FailureReport` rows and
   telemetry counters, never as errors.
 
-:meth:`TieredEmissionCache.get` walks memory → sqlite → shards → remote
+:meth:`TieredEmissionCache.get` walks memory → sqlite → remote
 and promotes hits upward; :meth:`TieredEmissionCache.put` writes sqlite
 first (the durable copy), then memory, then the remote fan-out.
 Per-tier hit/miss/put/eviction/corruption/promotion counters are
@@ -46,9 +43,8 @@ leases (see :meth:`SqliteTier.claim_many`), so two daemons sharing a
 cache root compute each signature once fleet-wide, and a daemon that
 dies mid-flight is reaped by a waiter on a deterministic tick budget.
 
-Every operation stays best-effort like the legacy store: corruption —
-a malformed sqlite payload, an unreadable shard, even a damaged sqlite
-file — degrades to a miss, heals the offending entry (or file) and
+Every operation is best-effort: corruption — a malformed sqlite
+payload, even a damaged sqlite file — degrades to a miss, heals the offending entry (or file) and
 bumps the tier's corruption counter.  A broken cache must never break
 synthesis.
 """
@@ -65,7 +61,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.resilience import faults as fault_mod
-from repro.runtime.cache import DEFAULT_MAX_ENTRIES, EmissionCache
 from repro.runtime.emission import EmissionRecord, RecordError
 from repro.runtime.remote import (
     FAULT_BREAKER_OPEN,
@@ -82,9 +77,8 @@ logger = logging.getLogger(__name__)
 #: ``tier`` label of the ``ddbdd_cache_tier_ops_total`` metric family).
 TIER_MEMORY = "memory"
 TIER_SQLITE = "sqlite"
-TIER_SHARDS = "shards"
 TIER_REMOTE = "remote"
-TIER_NAMES = (TIER_MEMORY, TIER_SQLITE, TIER_SHARDS, TIER_REMOTE)
+TIER_NAMES = (TIER_MEMORY, TIER_SQLITE, TIER_REMOTE)
 
 #: Stable per-tier counter names.
 TIER_OPS = ("hits", "misses", "puts", "evictions", "corruptions", "promotions")
@@ -105,12 +99,16 @@ REMOTE_OP_KEYS = (
     "trips",
 )
 
+#: Default entry cap of the sqlite store; at a few KB per record this
+#: bounds it to tens of MB.
+DEFAULT_MAX_ENTRIES = 8192
+
 #: Default entry cap of the in-process memory tier; records are a few
 #: KB, so this bounds tier 1 to single-digit MB per cache root.
 DEFAULT_MEMORY_ENTRIES = 2048
 
-#: Enforce the sqlite LRU cap once per this many puts (same amortized
-#: cadence as the legacy shard store).
+#: Enforce the sqlite LRU cap once per this many puts (amortizes the
+#: count query).
 _EVICT_EVERY = 64
 
 #: How long a sqlite operation waits on another process's write lock
@@ -251,10 +249,9 @@ class MemoryTier:
 class SqliteTier:
     """Tier 2: the persistent cross-process-safe store (sqlite, WAL).
 
-    One database file per cache root, ``v{SIGNATURE_VERSION}.sqlite``
-    next to the legacy shard tree — a signature-format bump strands old
-    entries instead of corrupting new runs, exactly like the shard
-    layout's version directory.
+    One database file per cache root, ``v{SIGNATURE_VERSION}.sqlite`` —
+    a signature-format bump strands old entries instead of corrupting
+    new runs.
 
     Durability model: every write is one sqlite transaction (WAL
     journal), so concurrent writers — including separate daemon
@@ -367,9 +364,8 @@ class SqliteTier:
         """Store a record; returns ``(stored, torn, evicted)``.
 
         ``torn`` reports an injected ``corrupt_shard@put=N`` fault: the
-        committed row was overwritten with garbage after the fact (the
-        tier-2 analogue of the legacy store's truncated shard), and the
-        next read must detect and heal it.
+        committed row was overwritten with garbage after the fact (a torn
+        write), and the next read must detect and heal it.
         """
         with self._lock:
             conn: Optional[sqlite3.Connection] = None
@@ -662,7 +658,7 @@ class SqliteTier:
 
 
 class TieredEmissionCache:
-    """The three tiers behind one interface (see module docstring).
+    """The tiers behind one interface (see module docstring).
 
     One instance per cache root, shared process-wide via the fleet's
     store registry — tier 1 is only useful if every request hitting the
@@ -679,35 +675,9 @@ class TieredEmissionCache:
         self.root = Path(root)
         self.memory = MemoryTier(min(memory_entries, max_entries))
         self.disk = SqliteTier(root, max_entries=max_entries)
-        #: Legacy shard layout, used read-only (tier 3 migration path).
-        self.shards = EmissionCache(root, max_entries=max_entries)
-        #: Optional tier-4 remote shard client (attached by the fleet's
+        #: Optional tier-3 remote shard client (attached by the fleet's
         #: store registry when a run configures ``--cache-remote``).
         self.remote = remote
-
-    # ------------------------------------------------------------------
-    def _shards_get(self, key: str) -> Tuple[Optional[EmissionRecord], int]:
-        """Read-only tier-3 lookup: ``(record_or_None, corruptions)``.
-
-        Bypasses :class:`EmissionCache`'s own counters (which belong to
-        legacy-mode runs) but keeps its healing behaviour: a malformed
-        shard is unlinked so the slot cannot mis-serve again.
-        """
-        path = self.shards.path_for(key)
-        try:
-            raw = path.read_text(encoding="utf-8")
-        except OSError:
-            return None, 0
-        try:
-            record = EmissionRecord.from_json_obj(json.loads(raw))
-        except (ValueError, RecordError):
-            logger.debug("unlinking corrupted legacy shard %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None, 1
-        return record, 0
 
     # ------------------------------------------------------------------
     def get(
@@ -718,11 +688,11 @@ class TieredEmissionCache:
         verify: Optional[Callable[[EmissionRecord], bool]] = None,
         job: str = "",
     ) -> Optional[EmissionRecord]:
-        """Walk memory → sqlite → shards → remote; promote hits upward.
+        """Walk memory → sqlite → remote; promote hits upward.
 
-        ``promote_disk`` gates the shards→sqlite promotion write —
+        ``promote_disk`` gates the remote→sqlite promotion write —
         read-mode runs (``cache="read"``) must never create files, so
-        they promote disk hits into memory only.
+        they promote remote hits into memory only.
 
         The remote tier is walked only when a ``verify`` callback is
         supplied: a record fetched over the network must pass the
@@ -753,25 +723,6 @@ class TieredEmissionCache:
             return record
         if tele:
             tele.note(TIER_SQLITE, "misses")
-
-        record, corrupt = self._shards_get(key)
-        if tele:
-            tele.note(TIER_SHARDS, "corruptions", corrupt)
-        if record is not None:
-            if tele:
-                tele.note(TIER_SHARDS, "hits")
-            if promote_disk:
-                _, _, evicted = self.disk.put(key, record)
-                if tele:
-                    tele.note(TIER_SQLITE, "promotions")
-                    tele.note(TIER_SQLITE, "evictions", evicted)
-            evicted = self.memory.put(key, record)
-            if tele:
-                tele.note(TIER_MEMORY, "promotions")
-                tele.note(TIER_MEMORY, "evictions", evicted)
-            return record
-        if tele:
-            tele.note(TIER_SHARDS, "misses")
 
         if self.remote is not None and verify is not None:
             result = self.remote.get(key)
@@ -851,16 +802,15 @@ class TieredEmissionCache:
                     tele.note_remote_result(result, "put", job)
         return True
 
-    def invalidate(self, key: str, tele: Optional[CacheTelemetry] = None) -> None:
-        """Drop one entry from every tier (failed hit re-verification)."""
-        del tele  # reserved: invalidations are visible via cache_rejected
+    def invalidate(self, key: str) -> None:
+        """Drop one entry from the local tiers (failed hit re-verification)."""
         self.memory.invalidate(key)
         self.disk.invalidate(key)
-        self.shards.invalidate(key)
 
 
 __all__ = [
     "CacheTelemetry",
+    "DEFAULT_MAX_ENTRIES",
     "DEFAULT_MEMORY_ENTRIES",
     "MemoryTier",
     "REMOTE_OP_KEYS",
@@ -870,6 +820,5 @@ __all__ = [
     "TIER_NAMES",
     "TIER_OPS",
     "TIER_REMOTE",
-    "TIER_SHARDS",
     "TIER_SQLITE",
 ]

@@ -1,14 +1,13 @@
 """Equivalence of the fast apply paths with a reference ITE-only engine.
 
 The hot-path rewrite gave :class:`BDDManager` dedicated binary
-recursions (``apply_and``/``apply_or``/``apply_xor``/``apply_xnor``),
-ITE standard-triple normalization, and an explicit-stack engine
-(``iterative=True``).  All of them are pure speed: in a hash-consed
-manager, canonical node ids *are* function identity, so every path must
-return the exact id the generic 3-operand ITE recursion would.  These
-tests pin that contract with random expressions, plus the end-to-end
-Table-I golden regression that proves the optimized kernel changes no
-synthesized circuit.
+recursions (``apply_and``/``apply_or``/``apply_xor``/``apply_xnor``)
+and ITE standard-triple normalization.  All of them are pure speed: in
+a hash-consed manager, canonical node ids *are* function identity, so
+every path must return the exact id the generic 3-operand ITE
+recursion would.  These tests pin that contract with random
+expressions, plus the end-to-end Table-I golden regression that proves
+the optimized kernel changes no synthesized circuit.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BDDManager
+from repro.utils import recursion_headroom
 
 N_VARS = 5
 
@@ -149,26 +149,12 @@ def test_normalized_ite_matches_reference(expr, g_expr, h_expr):
     assert mgr.ite(f, g, h) == reference_ite(mgr, f, g, h)
 
 
-@settings(max_examples=120, deadline=None)
-@given(expr=_expr)
-def test_iterative_engine_bit_identical(expr):
-    """Replaying one construction sequence in a recursive and an
-    explicit-stack manager yields the same id at every step — the two
-    engines allocate nodes in the same order."""
-    rec = BDDManager(N_VARS)
-    it = BDDManager(N_VARS, iterative=True)
-    assert build(rec, expr) == build(it, expr)
-    # The managers are structurally interchangeable afterwards.
-    assert rec.num_nodes == it.num_nodes
-
-
-def test_iterative_engine_handles_deep_chains():
-    """The explicit-stack engine exists for BDDs past the recursion
-    limit; operators over a 1500-variable conjunction chain must not
-    blow the stack.  (Built bottom-up so each step only adds the new
-    top node instead of re-walking the chain.)"""
+def test_recursive_engine_handles_deep_chains():
+    """Operators over a 1500-variable conjunction chain must not blow
+    the stack.  (Built bottom-up so each step only adds the new top
+    node instead of re-walking the chain.)"""
     n = 1500
-    mgr = BDDManager(n, iterative=True)
+    mgr = BDDManager(n)
     f = mgr.var(n - 1)
     for v in range(n - 2, -1, -1):
         f = mgr.apply_and(mgr.var(v), f)
@@ -177,6 +163,56 @@ def test_iterative_engine_handles_deep_chains():
     assert mgr.apply_or(f, g) == mgr.ONE
     assert mgr.apply_xor(f, g) == mgr.ONE
     assert mgr.apply_xnor(f, f) == mgr.ONE
+
+
+def _interleaved_chains(mgr: BDDManager, n: int, op) -> tuple:
+    """``op``-chains over the even and the odd variables, each built
+    bottom-up (one new top node per step, no deep recursion)."""
+    chains = []
+    for parity in (0, 1):
+        top = [v for v in range(n) if v % 2 == parity]
+        f = mgr.var(top[-1])
+        for v in reversed(top[:-1]):
+            f = op(mgr.var(v), f)
+        chains.append(f)
+    return chains[0], chains[1]
+
+
+DEEP_CHAIN_VARS = 1500
+# About one Python frame per chain level, with a wide margin.
+DEEP_CHAIN_HEADROOM = 8 * DEEP_CHAIN_VARS
+
+
+def test_recursive_and_top_down_over_deep_chain():
+    """One ``apply_and`` that recurses through all 1500 levels: the two
+    interleaved chains only meet at the bottom, so the recursion walks
+    the full depth, which ``recursion_headroom`` makes safe."""
+    n = DEEP_CHAIN_VARS
+    mgr = BDDManager(n)
+    evens, odds = _interleaved_chains(mgr, n, mgr.apply_and)
+    with recursion_headroom(DEEP_CHAIN_HEADROOM):
+        f = mgr.apply_and(evens, odds)
+        assert mgr.sat_count(f) == 1
+        assert mgr.apply_and(f, mgr.negate(evens)) == mgr.ZERO
+    assert mgr.count_nodes(f) == n + 2  # one per variable + 2 terminals
+    assert mgr.eval(f, [True] * n)
+    assert not mgr.eval(f, [True] * (n - 1) + [False])
+
+
+def test_recursive_xor_top_down_over_deep_chain():
+    """The parity of 1500 variables as one deep ``apply_xor`` over the
+    interleaved even/odd parity chains."""
+    n = DEEP_CHAIN_VARS
+    mgr = BDDManager(n)
+    evens, odds = _interleaved_chains(mgr, n, mgr.apply_xor)
+    with recursion_headroom(DEEP_CHAIN_HEADROOM):
+        f = mgr.apply_xor(evens, odds)
+        assert mgr.sat_count(f) == 2 ** (n - 1)
+        assert mgr.apply_xor(f, evens) == odds
+    # Plain BDD size: both polarities below the top level + 2 terminals.
+    assert mgr.count_nodes(f) == 2 * n + 1
+    assert mgr.eval(f, [True] + [False] * (n - 1))
+    assert not mgr.eval(f, [True, True] + [False] * (n - 2))
 
 
 def test_cache_stats_observe_hits():

@@ -33,15 +33,6 @@ def _jobs(n: int, num_vars: int = 6, **over) -> list:
 # ----------------------------------------------------------------------
 # JobRunner unit behaviour
 # ----------------------------------------------------------------------
-def test_run_batch_refuses_unladdered_breach():
-    # Satellite (a): a breach with no ladder attached is a hard error,
-    # not a silent assert that vanishes under ``python -O``.
-    runner = JobRunner(1)
-    jobs = _jobs(1, job_node_budget=1)
-    with pytest.raises(RuntimeError, match="degradation ladder"):
-        runner.run_batch(jobs)
-
-
 def test_inline_retries_transient_raise():
     # One-worker execution retries a transient in-worker error in place;
     # the fault decrements on the first (failed) attempt, so the retry

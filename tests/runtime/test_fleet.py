@@ -9,7 +9,6 @@ import threading
 import time
 
 from repro.core import DDBDDConfig, ddbdd_synthesize
-from repro.runtime.cache import EmissionCache
 from repro.runtime.fleet import get_fleet, reset_fleet
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import SqliteTier, TieredEmissionCache
@@ -37,15 +36,6 @@ def test_store_for_tiered_is_shared_per_root(tmp_path):
     assert a is b, "tier 1 only works if every request on a root shares it"
     other = fleet.store_for(DDBDDConfig(cache="readwrite", cache_dir=str(tmp_path / "x")))
     assert other is not a
-
-
-def test_store_for_legacy_is_per_run(tmp_path):
-    fleet = get_fleet()
-    cfg = DDBDDConfig(cache="readwrite", cache_dir=str(tmp_path), cache_tier="legacy")
-    a = fleet.store_for(cfg)
-    b = fleet.store_for(cfg)
-    assert isinstance(a, EmissionCache)
-    assert a is not b, "legacy mode keeps the old per-run counter semantics"
 
 
 # ----------------------------------------------------------------------

@@ -60,6 +60,10 @@ class TestRejections:
         exc = submit_error({"benchmark": "mux", "config": {"jbos": 2}})
         assert exc.code == "invalid_config"
         assert "jbos" in exc.message
+        # A knob that no longer exists is refused the same way.
+        exc = submit_error({"benchmark": "mux", "config": {"cache_tier": "legacy"}})
+        assert (exc.status, exc.code) == (400, "invalid_config")
+        assert "cache_tier" in exc.message
 
     def test_non_allowlisted_config_key(self):
         # A real DDBDDConfig field that is server policy, not client's.
