@@ -42,7 +42,7 @@ from repro.bdd.leveled import LeveledBDD
 from repro.bdd.manager import BDDManager
 from repro.bdd.reorder import sift_inplace
 from repro.core.config import DDBDDConfig
-from repro.runtime.pool import SupernodeJob, run_supernode_job
+from repro.runtime.pool import SupernodeJob, run_supernode_job_guarded
 from repro.runtime.signature import export_dag
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -181,7 +181,7 @@ def bench_dp_supernode(quick: bool) -> Fingerprint:
     job = SupernodeJob.from_config(
         "bench", dag, [0] * dag.num_vars, [False] * dag.num_vars, DDBDDConfig()
     )
-    record = run_supernode_job(job)
+    record = run_supernode_job_guarded(job).record
     return len(record.cells) * 1000 + record.out_depth
 
 

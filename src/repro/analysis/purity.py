@@ -300,6 +300,10 @@ def reachable(edges: Dict[str, Set[str]], roots: Iterable[str]) -> Set[str]:
     return seen
 
 
+#: The pool's worker entry points: one job, and one chunk of jobs.
+WORKER_ENTRY_POINTS = ("run_supernode_job_guarded", "run_supernode_jobs_guarded")
+
+
 def fleet_dispatch_roots(fleet_mod: ModuleFacts, index: Set[str]) -> Set[str]:
     """The worker entry points the fleet scheduler dispatches itself.
 
@@ -309,7 +313,7 @@ def fleet_dispatch_roots(fleet_mod: ModuleFacts, index: Set[str]) -> Set[str]:
     threshold and follower retries after a failed flight.  Both paths
     execute the same worker code, so both are DD504 roots: every
     import-resolved call out of the fleet module that lands on a pool
-    worker entry point (``run_supernode_job*``) joins the root set.
+    worker entry point (:data:`WORKER_ENTRY_POINTS`) joins the root set.
     ``index`` is the project function index of :func:`build_call_graph`
     (fully-qualified ``module.qualname`` strings).
     """
@@ -317,9 +321,7 @@ def fleet_dispatch_roots(fleet_mod: ModuleFacts, index: Set[str]) -> Set[str]:
     for qual in fleet_mod.functions:
         for call in fleet_mod.function_facts(qual).calls:
             resolved = _resolve_call(call, fleet_mod, index)
-            if resolved is not None and resolved.rsplit(".", 1)[-1].startswith(
-                "run_supernode_job"
-            ):
+            if resolved is not None and resolved.rsplit(".", 1)[-1] in WORKER_ENTRY_POINTS:
                 roots.add(resolved)
     return roots
 
@@ -330,8 +332,8 @@ def pool_dispatch_roots(pool_mod: ModuleFacts) -> Set[str]:
     Discovered, not hard-coded: every plain-name first argument of an
     ``<executor>.submit(...)`` call inside the module, plus every
     function those entries call locally — the transitive walk happens in
-    the project graph.  Falls back to the conventional ``run_supernode_*``
-    names if no submit site parses.
+    the project graph.  Falls back to :data:`WORKER_ENTRY_POINTS` if no
+    submit site parses.
     """
     roots: Set[str] = set()
     for node in ast.walk(pool_mod.tree):
@@ -350,6 +352,6 @@ def pool_dispatch_roots(pool_mod: ModuleFacts) -> Set[str]:
         roots = {
             f"{pool_mod.modname}.{q}"
             for q in pool_mod.functions
-            if q.startswith("run_supernode_job")
+            if q in WORKER_ENTRY_POINTS
         }
     return roots

@@ -34,13 +34,47 @@ def _rebuild(
 
     ``order`` lists *source-manager* variable ids, top level first; it
     must cover at least the support of ``f``.  The new manager reuses
-    the same variable ids and names as the source.
+    the same variable ids and names as the source.  When ``order`` keeps
+    the source's relative order of the support, the rows are copied
+    structurally (:func:`_copy`); otherwise ``f`` is rebuilt by Shannon
+    expansion (:meth:`BDDManager.transfer`).
     """
     new_order = list(order) + [v for v in range(mgr.num_vars) if v not in set(order)]
     names = [mgr.var_name(v) for v in range(mgr.num_vars)]
     fresh = BDDManager(mgr.num_vars, var_names=names, order=new_order)
-    g = mgr.transfer(f, fresh)
-    return fresh, g
+    support = mgr.support_ordered(f)
+    placed = set(support)
+    if [v for v in order if v in placed] == support:
+        return fresh, _copy(mgr, f, fresh)
+    return fresh, mgr.transfer(f, fresh)
+
+
+def _copy(mgr: BDDManager, f: int, fresh: BDDManager) -> int:
+    """Copy the rows of ``f`` into ``fresh``, hi child first, post-order.
+
+    Only valid when ``fresh`` orders the support of ``f`` as ``mgr``
+    does: the source rows are then already reduced and ordered, so one
+    find-or-create per row rebuilds ``f`` without a cofactor per node.
+    The rows are made in the order :meth:`BDDManager.transfer` makes
+    them, so the handles come out identical.
+    """
+    var_a = mgr._var
+    lo_a = mgr._lo
+    hi_a = mgr._hi
+    mk = fresh._mk
+    made: Dict[int, int] = {}
+
+    def copy(h: int) -> int:
+        if h <= 1:
+            return h
+        i = h >> 1
+        got = made.get(i)
+        if got is None:
+            hi = copy(hi_a[i])
+            got = made[i] = mk(var_a[i], copy(lo_a[i]), hi)
+        return got ^ (h & 1)
+
+    return copy(f)
 
 
 def reorder_for_size(

@@ -32,7 +32,14 @@ from repro.bdd.manager import BDDManager
 from repro.bdd.reorder import reorder_for_size
 from repro.core.binpack import Box, PackedBin, pack_or_cost, pack_or_gates
 from repro.core.config import DDBDDConfig
-from repro.core.linear import Candidate, KIND_PRIORITY, State, candidates_for_cut
+from repro.core.linear import (
+    Candidate,
+    GateRow,
+    KIND_PRIORITY,
+    State,
+    candidates_for_cut,
+    gate_rows,
+)
 from repro.network.netlist import BooleanNetwork
 from repro.resilience.budget import BudgetMeter
 from repro.utils import BoundedMemo, recursion_headroom
@@ -42,6 +49,13 @@ from repro.utils import BoundedMemo, recursion_headroom
 # may not.  Entry points take scoped headroom instead of raising the
 # limit persistently (a leaked raise trips hypothesis's limit guard).
 _MIN_RECURSION = 20_000
+
+_PRIO_ALIAS = KIND_PRIORITY["alias"]
+_PRIO_AND = KIND_PRIORITY["and"]
+_PRIO_OR = KIND_PRIORITY["or"]
+_PRIO_XNOR = KIND_PRIORITY["xnor"]
+_PRIO_MUX = KIND_PRIORITY["mux"]
+_PRIO_LINEAR = KIND_PRIORITY["linear"]
 
 
 @dataclass
@@ -117,18 +131,13 @@ class BDDSynthesizer:
             # never reach a periodic tick.
             meter.bind_node_source(lambda: self.mgr.num_nodes)
             meter.check()
-        # Map private-manager variables back to the caller's ids (the
-        # transfer preserves variable ids, so this is the identity; kept
-        # explicit in case that changes).
         self.lb = LeveledBDD(self.mgr, self.func)
         self.input_delays = dict(input_delays)
         self._delay: Dict[State, int] = {}
         self._plan: Dict[State, _Best] = {}
-        # Hot-path memos: BDD supports and per-(state, j) decomposition
-        # candidates are pure functions of the (immutable) leveled BDD,
-        # shared across DP states that reference the same structure.
+        # BDD supports are pure functions of the (immutable) leveled
+        # BDD, shared across DP states that reference the same structure.
         self._support_memo: BoundedMemo[int, FrozenSet[int]] = BoundedMemo()
-        self._cand_memo: BoundedMemo[Tuple[int, int, int, int], List[Candidate]] = BoundedMemo()
 
     def _support_of(self, func: int) -> FrozenSet[int]:
         """Memoized ``mgr.support`` (states frequently share functions)."""
@@ -226,93 +235,172 @@ class BDDSynthesizer:
         return best.delay
 
     def _search_cuts(self, u: int, l: int, v: int, pruned_ok: bool) -> Optional[_Best]:
-        # Hot loop: cut-set sizes are computed once, attribute lookups
-        # are hoisted, and candidate lists are memoized per (state, j).
-        thresh = self.config.thresh
-        cut_set = self.lb.cut_set
+        """Best decomposition of ``Bs(u, l, v)`` over the cuts ``j < l``.
+
+        Each cut is priced straight from the shared gate rows — operand
+        delays come from the memo and gates are counted by (depth, size)
+        for :func:`pack_or_cost` — without building candidate objects.
+        The winner is the first candidate, in (cut, candidate) order,
+        reaching the lexicographic minimum of (delay, LUTs,
+        ``KIND_PRIORITY``); only its cut is rebuilt by
+        :func:`candidates_for_cut` to get the plan :meth:`emit` uses.
+
+        Early stop (exact): while a cut's gates are counted, the cut is
+        dropped once a gate depth ``d`` has ``d > best_delay``, or ``d ≥
+        best_delay`` with two gates seen.  One gate costs its own depth
+        (alias) or one more (AND); two or more pack to at least the
+        deepest gate plus one.  Either way the cut cannot strictly beat
+        the best, and only a strict improvement replaces it.
+        """
+        lb = self.lb
+        cut_set = lb.cut_set
         sizes = [len(cut_set(u, j)) for j in range(l)]
         js: List[int]
         if pruned_ok:
+            thresh = self.config.thresh
             js = [j for j, size in enumerate(sizes) if size <= thresh]
         else:
             js = [min(range(l), key=sizes.__getitem__)]
-        best: Optional[_Best] = None
-        best_delay = 0
-        best_luts = 0
-        best_prio = 0
-        cost = self._candidate_cost
-        priority = KIND_PRIORITY
-        for j in js:
-            for cand in self._candidates(u, l, v, j):
-                d, luts = cost(cand)
-                if best is not None:
-                    if d > best_delay:
-                        continue
-                    if d == best_delay:
-                        if luts > best_luts:
-                            continue
-                        if luts == best_luts and priority[cand.kind] >= best_prio:
-                            continue
-                best = _Best(d, luts, cand)
-                best_delay, best_luts, best_prio = d, luts, priority[cand.kind]
-        return best
-
-    def _candidates(self, u: int, l: int, v: int, j: int) -> List[Candidate]:
-        """Memoized :func:`candidates_for_cut` (structure is shared
-        between the pruned search and the fallback retry)."""
-        key = (u, l, v, j)
-        got = self._cand_memo.get(key)
-        if got is None:
-            got = candidates_for_cut(
-                self.lb, u, l, v, j,
-                use_special=self.config.use_special_decompositions,
-                k=self.config.k,
-            )
-            self._cand_memo[key] = got
-        return got
-
-    def _candidate_cost(self, cand: Candidate) -> Tuple[int, int]:
-        """(mapping depth, local LUT count) of a candidate.
-
-        Sub-state delays are probed straight from the memo table and
-        only fall back to the recursive :meth:`delay` on a miss — this
-        is the hottest loop of the DP and most states are warm.
-        """
-        kind = cand.kind
-        memo = self._delay
-        memo_get = memo.get
+        k = self.config.k
+        special = self.config.use_special_decompositions
+        memo_get = self._delay.get
         delay = self.delay
-        if kind == "alias":
-            s = cand.operands[0]
-            ds = memo_get(s)
-            return (delay(s) if ds is None else ds), 0
-        if kind in ("and", "or", "xnor", "mux"):
-            d = 0
-            for s in cand.operands:
-                ds = memo_get(s)
-                if ds is None:
-                    ds = delay(s)
-                if ds > d:
-                    d = ds
-            return d + 1, 1
-        assert kind == "linear"
-        # Counting-only packing: the probe needs (depth, LUT count),
-        # not the bins — see :func:`repro.core.binpack.pack_or_cost`.
-        groups: Dict[int, List[int]] = {}
-        groups_get = groups.get
-        for gate in cand.gates:
-            d = 0
-            for s in gate.ops:
-                ds = memo_get(s)
-                if ds is None:
-                    ds = delay(s)
-                if ds > d:
-                    d = ds
-            counts = groups_get(d)
-            if counts is None:
-                counts = groups[d] = [0, 0]
-            counts[0 if len(gate.ops) == 2 else 1] += 1
-        return pack_or_cost(groups, self.config.k)
+        # Best so far as (delay, LUTs, kind priority), and where it came
+        # from: the cut and the candidate's index in that cut's list.
+        best: Optional[Tuple[int, int, int]] = None
+        best_delay = best_j = best_idx = 0
+        for j in js:
+            rows = gate_rows(lb, u, l, j)
+            if special and len(rows) == 2:
+                options = self._special_options(u, j, v, rows, best)
+            else:
+                # Linear expansion (an alias or AND when one gate survives).
+                options = []
+                groups: Dict[int, List[int]] = {}
+                ngates = 0
+                top = 0
+                for w, rel, members in rows:
+                    if w == v:
+                        s = (u, j, v)
+                        d = memo_get(s)
+                        if d is None:
+                            d = delay(s)
+                        slot = 1  # [2-input, 1-input] gate counts
+                    elif members is not None and v in members:
+                        s = (u, j, w)
+                        d = memo_get(s)
+                        if d is None:
+                            d = delay(s)
+                        s = (w, rel, v)
+                        d2 = memo_get(s)
+                        if d2 is None:
+                            d2 = delay(s)
+                        if d2 > d:
+                            d = d2
+                        slot = 0
+                    else:
+                        # w sits below cut l (terminal 0), or the cone
+                        # from w collapses to logic 0 — no gate.
+                        continue
+                    ngates += 1
+                    if d > top:
+                        top = d
+                    if best is not None and (
+                        top > best_delay or (ngates > 1 and top >= best_delay)
+                    ):
+                        break
+                    counts = groups.get(d)
+                    if counts is None:
+                        counts = groups[d] = [0, 0]
+                    counts[slot] += 1
+                else:
+                    if ngates == 0:
+                        raise AssertionError("linear expansion produced no gates (v unreachable?)")
+                    if ngates > 1:
+                        d, luts = pack_or_cost(groups, k)
+                        options.append((d, luts, _PRIO_LINEAR))
+                    elif groups[top][1]:
+                        options.append((top, 0, _PRIO_ALIAS))
+                    else:
+                        options.append((top + 1, 1, _PRIO_AND))
+            for idx, option in enumerate(options):
+                if best is None or option < best:
+                    best, best_j, best_idx = option, j, idx
+                    best_delay = option[0]
+        if best is None:
+            return None
+        cand = candidates_for_cut(lb, u, l, v, best_j, use_special=special, k=k)[best_idx]
+        return _Best(best[0], best[1], cand)
+
+    def _special_options(
+        self,
+        u: int,
+        j: int,
+        v: int,
+        rows: List[GateRow],
+        best: Optional[Tuple[int, int, int]],
+    ) -> List[Tuple[int, int, int]]:
+        """(delay, LUTs, kind priority) of each candidate
+        :func:`candidates_for_cut` returns at a two-node cut with the
+        special decompositions on, in the same order.
+
+        The XNOR complementarity test builds two sub-BDD functions, so
+        it only runs when an XNOR option would strictly beat ``best``,
+        the best option so far; a skipped XNOR could not have won, and
+        the MUX options after it are priced the same either way.  With
+        ``k < 3`` there is no MUX and the test decides between XNOR and
+        linear expansion, so it always runs.
+        """
+        memo_get = self._delay.get
+        delay = self.delay
+
+        def dly(s: State) -> int:
+            d = memo_get(s)
+            return delay(s) if d is None else d
+
+        (w1, rel1, m1), (w2, rel2, m2) = rows
+        if v == w1 or v == w2:
+            # OR when the other node reaches v, else an alias of Bs(u, j, v).
+            w, rel, members = (w2, rel2, m2) if v == w1 else (w1, rel1, m1)
+            d = dly((u, j, v))
+            if members is None or v not in members:
+                return [(d, 0, _PRIO_ALIAS)]
+            return [(max(d, dly((w, rel, v))) + 1, 1, _PRIO_OR)]
+        r1 = m1 is not None and v in m1
+        r2 = m2 is not None and v in m2
+        if not (r1 and r2):
+            if not (r1 or r2):
+                raise AssertionError("linear expansion produced no gates (v unreachable?)")
+            w, rel = (w1, rel1) if r1 else (w2, rel2)
+            return [(max(dly((u, j, w)), dly((w, rel, v))) + 1, 1, _PRIO_AND)]
+        a1 = (u, j, w1)
+        h1 = (w1, rel1, v)
+        a2 = (u, j, w2)
+        h2 = (w2, rel2, v)
+        da1 = dly(a1)
+        dh1 = dly(h1)
+        da2 = dly(a2)
+        dh2 = dly(h2)
+        x1 = max(da1, dh1) + 1
+        x2 = max(da2, dh2) + 1
+        k = self.config.k
+        options: List[Tuple[int, int, int]] = []
+        if k < 3 or best is None or (min(x1, x2), 1, _PRIO_XNOR) < best:
+            lb = self.lb
+            if lb.bs_function(*h2) == lb.mgr.negate(lb.bs_function(*h1)):
+                options.append((x1, 1, _PRIO_XNOR))
+                options.append((x2, 1, _PRIO_XNOR))
+        if k >= 3:
+            options.append((max(x1 - 1, dh2) + 1, 1, _PRIO_MUX))
+            options.append((max(x2 - 1, dh1) + 1, 1, _PRIO_MUX))
+        elif not options:
+            # Linear expansion of the two AND gates.
+            groups: Dict[int, List[int]] = {x1 - 1: [1, 0]}
+            counts = groups.setdefault(x2 - 1, [0, 0])
+            counts[0] += 1
+            d, luts = pack_or_cost(groups, k)
+            options.append((d, luts, _PRIO_LINEAR))
+        return options
 
     @property
     def states_visited(self) -> int:

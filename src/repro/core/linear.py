@@ -24,13 +24,17 @@ mapping depth, so :func:`candidates_for_cut` returns them instead.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.bdd.leveled import LeveledBDD
 
 # A DP state: sub-BDD Bs(u, l, v) identified by root node, relative cut
 # level, and the cut-set node mapped to terminal 1 (Definition 7).
 State = Tuple[int, int, int]
+
+# One prepared linear-expansion row ``(w, rel, CS(w, rel))`` of a
+# (u, l, j) triple; see :func:`gate_rows`.
+GateRow = Tuple[int, int, Optional[FrozenSet[int]]]
 
 
 class Gate:
@@ -88,8 +92,9 @@ class Candidate:
         )
 
 
-def _gate_rows(lb: LeveledBDD, u: int, l: int, j: int):
-    """Prepared rows ``(w, rel, CS(w, rel))`` for every ``w ∈ CS(u, j)``.
+def gate_rows(lb: LeveledBDD, u: int, l: int, j: int) -> List[GateRow]:
+    """Prepared rows ``(w, rel, CS(w, rel))`` for every ``w ∈ CS(u, j)``,
+    in cut-set order.
 
     Everything in the expansion except the final membership test is
     independent of the terminal-1 choice ``v``, and the DP evaluates
@@ -97,7 +102,14 @@ def _gate_rows(lb: LeveledBDD, u: int, l: int, j: int):
     relative cuts and continuation cut sets are resolved once and
     cached on the leveled BDD.  A row's cut set is ``None`` when ``w``
     lies below cut ``l`` (it is mapped to terminal 0 unless ``w == v``).
+    For a given ``v``, row ``(w, rel, members)`` yields the gate
+    ``Bs(u, j, v)`` if ``w == v``, the gate ``Bs(u, j, w) · Bs(w, rel,
+    v)`` if ``v ∈ members``, and no gate otherwise.
     """
+    key = (u, l, j)
+    rows = lb._gate_rows.get(key)
+    if rows is not None:
+        return rows
     node_level = lb.node_level
     cut_abs = node_level[u] + l
     cs_sets = lb._cs_sets
@@ -115,18 +127,15 @@ def _gate_rows(lb: LeveledBDD, u: int, l: int, j: int):
             extend(w, rel)
             members = cs_sets[w]
         append((w, rel, members[rel]))
-    lb._gate_rows[(u, l, j)] = rows
+    lb._gate_rows[key] = rows
     return rows
 
 
 def enumerate_gates(lb: LeveledBDD, u: int, l: int, v: int, j: int) -> List[Gate]:
     """AND gates of the linear expansion of ``Bs(u, l, v)`` at cut ``j``."""
-    rows = lb._gate_rows.get((u, l, j))
-    if rows is None:
-        rows = _gate_rows(lb, u, l, j)
     gates: List[Gate] = []
     append = gates.append
-    for w, rel, members in rows:
+    for w, rel, members in gate_rows(lb, u, l, j):
         if w == v:
             append(Gate(((u, j, v),)))
         elif members is not None and v in members:

@@ -75,7 +75,6 @@ from repro.runtime.pool import (
     JobRunner,
     PoolFailureEvent,
     SupernodeJob,
-    run_supernode_job,
     run_supernode_job_guarded,
 )
 from repro.runtime.schedule import (
@@ -125,7 +124,6 @@ __all__ = [
     "JobRunner",
     "PoolFailureEvent",
     "SupernodeJob",
-    "run_supernode_job",
     "run_supernode_job_guarded",
     "WaveLevel",
     "WavePlan",

@@ -3,8 +3,8 @@
 A :class:`SupernodeJob` is a self-contained, picklable description of
 one supernode DP instance: the canonical BDD DAG, the per-canonical-
 variable arrival/polarity profiles and the DP-relevant config knobs.
-:func:`run_supernode_job` — the worker entry point — rebuilds a private
-:class:`~repro.bdd.manager.BDDManager` from the DAG, runs the exact
+:func:`run_supernode_job_guarded` — the worker entry point — rebuilds a
+private :class:`~repro.bdd.manager.BDDManager` from the DAG, runs the exact
 serial :class:`~repro.core.dp.BDDSynthesizer` against placeholder leaf
 signals ``v0..v{n-1}``, and exports the resulting cells as an
 :class:`~repro.runtime.emission.EmissionRecord`.
@@ -207,16 +207,6 @@ def _execute_job(job: SupernodeJob, meter: Optional[BudgetMeter]) -> EmissionRec
         bdd_size=result.bdd_size,
         num_inputs=result.num_inputs,
     )
-
-
-def run_supernode_job(job: SupernodeJob) -> EmissionRecord:
-    """Worker entry point: run the DP and export the emission.
-
-    The unguarded path — no budget, no fault injection.  Runs in
-    a worker process (or in-process for serial execution); must touch
-    nothing but the job payload.
-    """
-    return _execute_job(job, None)
 
 
 def run_supernode_job_guarded(job: SupernodeJob) -> JobOutcome:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bdd.manager import BDDManager
 from repro.bdd.reorder import (
+    _copy,
     exhaustive_reorder,
     reorder_for_size,
     sift,
@@ -146,3 +147,29 @@ def test_property_sift_preserves_semantics(bits):
     for i in range(32):
         env = {v: bool((i >> v) & 1) for v in range(5)}
         assert sm.eval(sf, env) == bool(bits[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=64, max_size=64),
+    seed=st.integers(0, 2**16),
+    sifted=st.booleans(),
+)
+def test_property_structural_copy_matches_transfer(bits, seed, sifted):
+    """The structural copy used by same-order rebuilds makes exactly the
+    rows, in the same order, that the Shannon-expansion transfer does —
+    on random functions, random source orders, and sifted sources."""
+    order = list(range(6))
+    random.Random(seed).shuffle(order)
+    m = BDDManager(6, order=order)
+    f = m.from_truth_table(bits, list(range(6)))
+    if sifted:
+        sift_inplace(m, f)
+    # Also copy the complement so the walk meets complemented handles.
+    for g in (f, m.negate(f)):
+        by_transfer = BDDManager(6, order=m.order)
+        by_copy = BDDManager(6, order=m.order)
+        assert m.transfer(g, by_transfer) == _copy(m, g, by_copy)
+        assert by_copy._var == by_transfer._var
+        assert by_copy._lo == by_transfer._lo
+        assert by_copy._hi == by_transfer._hi

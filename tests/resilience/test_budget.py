@@ -11,7 +11,7 @@ from repro.bdd.manager import BDDManager
 from repro.core.config import DDBDDConfig
 from repro.resilience.budget import CHECK_EVERY, Budget, BudgetExceeded
 from repro.resilience.faults import activated
-from repro.runtime.pool import SupernodeJob, run_supernode_job, run_supernode_job_guarded
+from repro.runtime.pool import SupernodeJob, _execute_job, run_supernode_job_guarded
 from repro.runtime.signature import export_dag
 from tests.conftest import random_truth_function
 
@@ -82,7 +82,7 @@ def test_guarded_job_without_budget_matches_unguarded():
     job = _job(seed=3)
     outcome = run_supernode_job_guarded(job)
     assert outcome.ok and outcome.breach_reason == ""
-    assert outcome.record == run_supernode_job(job)
+    assert outcome.record == _execute_job(job, None)
 
 
 def test_guarded_job_node_budget_breach():

@@ -13,7 +13,7 @@ from repro.bdd.manager import BDDManager
 from repro.core import DDBDDConfig, ddbdd_synthesize
 from repro.resilience.ladder import RUNGS, degraded_job, resynthesize, shannon_record
 from repro.runtime.emission import verify_record
-from repro.runtime.pool import JobOutcome, SupernodeJob, run_supernode_job
+from repro.runtime.pool import JobOutcome, SupernodeJob, run_supernode_job_guarded
 from repro.runtime.signature import export_dag
 from repro.runtime.stats import FailureReport
 from tests.conftest import assert_equivalent, random_gate_network, random_truth_function
@@ -95,7 +95,7 @@ def test_deadline_breach_retries_clean_and_matches():
     job = _job(seed=7, job_deadline_s=5.0)
     breach = JobOutcome(None, "deadline", 5.1, 120)
     record, report = resynthesize(job, breach)
-    assert record == run_supernode_job(job)
+    assert record == run_supernode_job_guarded(job).record
     assert report.kind == "budget" and report.reason == "deadline"
     assert report.rung == "retry" and report.retries == 1
     assert report.verified

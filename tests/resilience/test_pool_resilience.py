@@ -10,7 +10,7 @@ import pytest
 from repro.bdd.manager import BDDManager
 from repro.core import DDBDDConfig, ddbdd_synthesize
 from repro.resilience.faults import FaultPlan, activated
-from repro.runtime.pool import JobRunner, SupernodeJob, run_supernode_job
+from repro.runtime.pool import JobRunner, SupernodeJob, run_supernode_job_guarded
 from repro.runtime.signature import export_dag
 from tests.conftest import random_gate_network, random_truth_function
 from tests.runtime.helpers import net_dump
@@ -42,7 +42,7 @@ def test_inline_retries_transient_raise():
         with JobRunner(1) as runner:
             outcomes = runner.run_batch_outcomes(jobs)
     assert all(o.ok for o in outcomes)
-    assert outcomes[0].record == run_supernode_job(jobs[0])
+    assert outcomes[0].record == run_supernode_job_guarded(jobs[0]).record
 
 
 def test_inline_exhausted_retries_reraise():
@@ -58,7 +58,7 @@ def test_pool_crash_respawns_and_matches(tmp_path):
     # retries (crash disarmed by notify_pool_failure), and every record
     # equals the unguarded serial run's.
     jobs = _jobs(4)
-    expected = [run_supernode_job(job) for job in jobs]
+    expected = [run_supernode_job_guarded(job).record for job in jobs]
     with activated("crash_worker@job=2"):
         with JobRunner(2, clamp=False, backoff_s=0.01) as runner:
             outcomes = runner.run_batch_outcomes(jobs)
@@ -77,7 +77,7 @@ def test_pool_serial_fallback_after_retry_exhaustion(monkeypatch):
         FaultPlan, "notify_pool_failure", lambda self, seqs: None
     )
     jobs = _jobs(3)
-    expected = [run_supernode_job(job) for job in jobs]
+    expected = [run_supernode_job_guarded(job).record for job in jobs]
     with activated("crash_worker@job=1x50"):
         with JobRunner(2, max_retries=1, clamp=False, backoff_s=0.01) as runner:
             outcomes = runner.run_batch_outcomes(jobs)

@@ -15,7 +15,7 @@ from repro.runtime.emission import (
     replay_record,
     verify_record,
 )
-from repro.runtime.pool import JobRunner, SupernodeJob, chunk_jobs, run_supernode_job
+from repro.runtime.pool import JobRunner, SupernodeJob, chunk_jobs, run_supernode_job_guarded
 from repro.runtime.signature import dag_size, export_dag
 
 
@@ -61,7 +61,7 @@ def test_record_validation_rejects(obj):
 
 def test_worker_output_verifies_and_replays():
     job = _job(polarities=(False, True, False), arrivals=(2, 0, 1))
-    record = run_supernode_job(job)
+    record = run_supernode_job_guarded(job).record
     assert verify_record(record, job.dag, job.polarities, k=5)
 
     net = BooleanNetwork("target")
@@ -76,7 +76,7 @@ def test_worker_output_verifies_and_replays():
 
 def test_tampered_record_fails_verification():
     job = _job()
-    record = run_supernode_job(job)
+    record = run_supernode_job_guarded(job).record
     assert record.cells, "majority needs at least one LUT"
     bad_cells = list(record.cells)
     flipped = "".join("1" if b == "0" else "0" for b in bad_cells[0].truth)
@@ -113,7 +113,7 @@ def test_replay_rejects_out_of_range_leaves():
 
 def test_job_runner_pool_matches_inline():
     jobs = [_job(arrivals=(i, 0, 0)) for i in range(3)]
-    inline = [run_supernode_job(j) for j in jobs]
+    inline = [run_supernode_job_guarded(j).record for j in jobs]
     with JobRunner(2) as runner:
         pooled = [o.record for o in runner.run_batch_outcomes(jobs)]
     assert pooled == inline
