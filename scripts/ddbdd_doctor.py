@@ -10,8 +10,10 @@ serving contract:
 3. a sync-submitted Table-I circuit returns depth/area/BLIF
    **byte-identical** to a serial in-process run of the same flow;
 4. async submit → poll → result and the event stream work;
-5. the tiered cache works end to end: a cache-armed submit materializes
-   the sqlite tier on disk, and a repeat submit is served entirely from
+5. the tiered cache works end to end: a cache-armed submit of ``ttt2``
+   (a circuit with a signature repeated inside one wavefront)
+   materializes the sqlite tier on disk without ever waiting on its own
+   daemon's claim leases, and a repeat submit is served entirely from
    the tier stack (zero misses) with identical BLIF;
 6. the daemon doubles as a **remote cache shard**: ``/v1/cache/<sig>``
    serves the records its own jobs stored (hex-key validation, 404 on
@@ -57,6 +59,11 @@ if SRC not in sys.path:
 #: Default hard bound per HTTP probe (fast endpoints: healthz, metrics,
 #: cache, polls).  Submits use the looser ``--timeout``.
 DEFAULT_PROBE_TIMEOUT_S = 60.0
+
+#: Circuit of the cache-armed cold/warm pair: ttt2 repeats a content
+#: signature inside one wavefront, which a lone daemon must resolve as
+#: in-process dedup, never as a wait on its own lease.
+CACHE_CIRCUIT = "ttt2"
 
 _CHECKS: List[str] = []
 
@@ -235,7 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
         cached = {
-            "benchmark": args.circuit,
+            "benchmark": CACHE_CIRCUIT,
             "mode": "sync",
             "emit": "blif",
             "config": {"cache": "readwrite", "cache_dir": cache_root},
@@ -249,6 +256,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         check("cold run populates the store",
               cold_stats["cache_puts"] > 0,
               f"puts={cold_stats['cache_puts']}")
+        check(
+            "cold run never waits on its own claim leases",
+            not {"held", "reaped"} & set(cold_stats["claims"]),
+            str(cold_stats["claims"]),
+        )
         check(
             "sqlite tier materialized on disk",
             bool(glob.glob(os.path.join(cache_root, "v*.sqlite"))),

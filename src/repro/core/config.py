@@ -175,12 +175,6 @@ class DDBDDConfig:
         failures to trip open, skipped ops before a half-open probe,
         probe successes to close again.  Deterministic — the breaker
         ticks on operation counts, never wall-clock.
-    cache_claims:
-        Cross-process singleflight for shared cache roots: leaders
-        claim signatures via transactional lease rows in the tier-2
-        sqlite store so concurrent daemons compute each signature once
-        fleet-wide.  Only engaged for ``readwrite`` runs whose
-        results are shareable; ``False`` disables claim coordination.
     fleet_weight:
         Fair-share admission weight of this request in the process-wide
         fleet scheduler (:mod:`repro.runtime.fleet`).  Relative: a
@@ -244,7 +238,6 @@ class DDBDDConfig:
     remote_deadline_s: float = 2.0
     remote_retries: int = 2
     remote_breaker: str = "3/8/2"
-    cache_claims: bool = True
     fleet_weight: int = 1
     flow: Optional[str] = None
     job_deadline_s: Optional[float] = None

@@ -20,36 +20,39 @@ both:
   request's output is byte-identical to its clean serial run regardless
   of what else is in flight.
 * **Singleflight deduplication.**  A request about to compute a job
-  registers an in-flight *flight* under the job's content signature.  A
-  second request hitting the same signature while the first is still
-  computing becomes a *follower*: it blocks on the flight and splices
-  the leader's record instead of recomputing (``dedup_hits``).  Records
-  are pure functions of their signature, and followers re-verify what
-  they are handed, so dedup is invisible in the output.  A failed
-  flight — the leader crashed, breached its budget, or ran under fault
-  injection (whose results are never shared) — releases followers to
-  retry *independently* (``dedup_retries``); a poisoned or degraded
-  result is never handed to a waiter.
+  registers an in-flight *flight* under the job's content signature.
+  Any later occurrence of that signature while the first is still
+  computing — in another request, or a duplicate later in the same
+  request's wave — becomes a *follower*: it blocks on the flight and
+  splices the leader's record instead of recomputing (``dedup_hits``).
+  A signature waits in one of two ways only: on such a flight, or on
+  a foreign daemon's claim lease.  Records are pure functions of their
+  signature, and followers re-verify what they are handed, so dedup is
+  invisible in the output.  A failed flight — the leader crashed,
+  breached its budget, or ran under fault injection (whose results are
+  never shared) — releases followers to retry *independently*
+  (``dedup_retries``); a poisoned or degraded result is never handed to
+  a waiter.
 * **One store per cache root.**  Stores
   (:class:`~repro.runtime.tiers.TieredEmissionCache`) are registered
   per resolved ``cache_dir``, so every request sharing a root shares
   the in-process memory tier.
 
 Deadlock freedom: within one wave a request computes and publishes
-*all* flights it leads before waiting on any foreign flight, and
-leader computation never blocks on other flights — so every registered
-flight is published in finite time and waits cannot cycle.  A
-:data:`FLIGHT_WAIT_TIMEOUT_S` backstop turns a leader that died without
-publishing (killed thread, lost process) into an independent retry
-rather than a hang.
+*all* flights it leads before waiting on any flight (its own
+included), and leader computation never blocks on other flights — so
+every registered flight is published in finite time and waits cannot
+cycle.  A :data:`FLIGHT_WAIT_TIMEOUT_S` backstop turns a leader that
+died without publishing (killed thread, lost process) into an
+independent retry rather than a hang.
 
 Fault injection and the fleet: a fault-armed request
 (``config.faults``) keeps a *private* runner — its worker forks must
 inherit the installed plan, and its crash/stall schedule is addressed
-by per-request job sequence numbers — and it neither follows foreign
-flights nor shares its own results.  It still *registers* flights, so
-clean followers of a crashing leader are released (and retry) instead
-of hanging.
+by per-request job sequence numbers — and it neither follows flights
+(not even its own: it computes every occurrence) nor shares its
+results.  It still *registers* flights, so clean followers of a
+crashing leader are released (and retry) instead of hanging.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from repro.runtime.pool import (
     JobRunner,
     PoolFailureEvent,
     SupernodeJob,
-    run_supernode_job_guarded,
+    run_inline,
 )
 from repro.runtime.remote import client_for
 from repro.runtime.signature import dag_size
@@ -123,7 +126,8 @@ class _Flight:
         #: The shareable outcome, or ``None`` (failed / unshareable).
         self.outcome: Optional[JobOutcome] = None
         self.published = False
-        #: How many requests are blocked on this flight (telemetry/tests).
+        #: How many wave items (any request's, the owner's own duplicates
+        #: included) are blocked on this flight (telemetry/tests).
         self.followers = 0
 
 
@@ -175,20 +179,14 @@ class FleetRequest:
         return self._net_only
 
     @property
-    def follows(self) -> bool:
-        """Whether this request may splice other requests' results.
-        Job-fault-armed requests never follow: their job-sequence fault
-        addressing assumes they execute their own jobs.  Net-only plans
-        follow normally — they only perturb the remote boundary."""
-        return self.config.faults is None or self.net_only_faults
-
-    @property
     def shares(self) -> bool:
-        """Whether this request's results may be handed to followers.
-        Job-fault-armed results are never shared — an injected fault
-        must not leak beyond the request that asked for it.  Net-only
-        plans share normally: their records are byte-identical to a
-        clean run's."""
+        """Whether this request exchanges results with other flights:
+        splices records it did not compute and hands its own to
+        followers.  Job-fault-armed requests do neither — their
+        job-sequence fault addressing assumes they execute their own
+        jobs, and an injected fault must not leak beyond the request
+        that asked for it.  Net-only plans share normally: their records
+        are byte-identical to a clean run's."""
         return self.config.faults is None or self.net_only_faults
 
     # ------------------------------------------------------------------
@@ -349,9 +347,12 @@ class FleetScheduler:
 
         Returns one :class:`JobOutcome` per item name — a record (from
         any tier, a followed flight, or a fresh computation) or a clean
-        budget breach for the engine's degradation ladder.  Publishes
-        every flight this request leads *before* waiting on any foreign
-        flight (the deadlock-freedom invariant).
+        budget breach for the engine's degradation ladder.  A signature
+        this request does not lead waits in one of two ways only: on an
+        open in-process flight (its own earlier duplicate included) or
+        on a foreign daemon's lease.  Every flight this request leads is
+        published *before* it waits on any flight (the deadlock-freedom
+        invariant).
         """
         results: Dict[str, JobOutcome] = {}
         leaders: List[Tuple[WaveItem, Optional[_Flight]]] = []
@@ -363,23 +364,20 @@ class FleetScheduler:
                 results[item.name] = JobOutcome(record)
                 continue
             flight = None
-            follow = None
             if item.key is not None:
                 with self._lock:
                     existing = self._flights.get(item.key)
-                    if existing is not None and req.follows and existing.owner is not req:
-                        existing.followers += 1
-                        follow = existing
-                    elif existing is None:
+                    if existing is None:
                         flight = _Flight(req)
                         self._flights[item.key] = flight
-                    # else: an unfollowable flight exists (fault-armed
-                    # request, or our own earlier duplicate) — compute
-                    # solo without registering a second flight.
-            if follow is not None:
-                followed.append((item, follow))
-            else:
-                leaders.append((item, flight))
+                    elif req.shares:
+                        existing.followers += 1
+                        followed.append((item, existing))
+                        continue
+                    # else: a job-fault-armed request computes every
+                    # occurrence itself, without registering a second
+                    # flight.
+            leaders.append((item, flight))
 
         # Cross-daemon singleflight: one transaction claims every key
         # this request is about to compute.  Keys another process holds
@@ -390,11 +388,9 @@ class FleetScheduler:
         claim_waits: List[Tuple[WaveItem, Optional[_Flight], int]] = []
         if leaders and self._claims_enabled(req):
             assert req.store is not None
-            keyed = [item.key for item, _ in leaders if item.key is not None]
-            grants = (
-                req.store.disk.claim_many(keyed, self._claim_owner())
-                if keyed
-                else {}
+            grants = req.store.disk.claim_many(
+                [item.key for item, _ in leaders if item.key is not None],
+                self._claim_owner(),
             )
             remaining: List[Tuple[WaveItem, Optional[_Flight]]] = []
             for item, flight in leaders:
@@ -410,24 +406,13 @@ class FleetScheduler:
                     # walk (which missed) and the claim (which won).
                     # One extra tier-2 read keeps duplicate submits
                     # compute-once even across that window.
-                    record, _corrupt = req.store.disk.get(item.key)
-                    if record is not None and req.verify(record, item.job):
+                    outcome = self._splice_tier2(req, item)
+                    if outcome is not None:
                         req.store.disk.release_claims([(item.key, generation)])
-                        if req.tele is not None:
-                            req.tele.note(TIER_SQLITE, "hits")
-                            req.tele.note(TIER_MEMORY, "promotions")
-                        req.store.memory.put(item.key, record)
-                        req.note_claim("hits")
-                        outcome = JobOutcome(record)
                         results[item.name] = outcome
                         if flight is not None:
-                            self._publish(
-                                item.key, flight, outcome if req.shares else None
-                            )
+                            self._publish(item.key, flight, outcome)
                         continue
-                    if record is not None:
-                        req.store_invalidate(item.key)
-                        req.stats.cache_rejected += 1
                     req.note_claim("won")
                     leases[item.key] = generation
                     remaining.append((item, flight))
@@ -464,11 +449,7 @@ class FleetScheduler:
         tier-2 store is the coordination medium, so read-only and
         cache-off runs are out, as are job-fault-armed runs (whose
         results are never shareable)."""
-        return (
-            req.writable
-            and req.shares
-            and req.config.cache_claims
-        )
+        return req.writable and req.shares
 
     @staticmethod
     def _claim_owner() -> str:
@@ -497,7 +478,7 @@ class FleetScheduler:
         """
         assert req.store is not None
         assert item.key is not None
-        store = req.store
+        disk = req.store.disk
         owner = self._claim_owner()
         lease: Optional[int] = None
         outcome: Optional[JobOutcome] = None
@@ -505,27 +486,14 @@ class FleetScheduler:
             with req.stats.stage("claim"):
                 ticks = 0
                 while True:
-                    record, _corrupt = store.disk.get(item.key)
-                    if record is not None:
-                        # A record that crosses a process boundary is
-                        # re-verified regardless of verify_level, like
-                        # in-process dedup splices.
-                        if req.verify(record, item.job):
-                            if req.tele is not None:
-                                req.tele.note(TIER_SQLITE, "hits")
-                                req.tele.note(TIER_MEMORY, "promotions")
-                            store.memory.put(item.key, record)
-                            req.note_claim("hits")
-                            outcome = JobOutcome(record)
-                        else:
-                            req.store_invalidate(item.key)
-                            req.stats.cache_rejected += 1
+                    outcome = self._splice_tier2(req, item)
+                    if outcome is not None:
                         break
-                    state = store.disk.claim_state(item.key)
+                    state = disk.claim_state(item.key)
                     if state is None:
                         # Lease gone, no record: the holder failed or
                         # released empty-handed.  Take the key ourselves.
-                        status, gen2, _holder = store.disk.claim_many(
+                        status, gen2, _holder = disk.claim_many(
                             [item.key], owner
                         )[item.key]
                         if status == "won":
@@ -536,13 +504,12 @@ class FleetScheduler:
                             break  # sqlite degraded: compute uncoordinated
                         generation, ticks = gen2, 0
                     else:
-                        _holder, gen2, _waits = state
+                        _holder, gen2 = state
                         if gen2 != generation:
                             generation, ticks = gen2, 0
                         ticks += 1
-                        store.disk.bump_claim_wait(item.key, generation)
                         if ticks >= CLAIM_REAP_TICKS:
-                            status, gen3, _holder = store.disk.reap_claim(
+                            status, gen3, _holder = disk.reap_claim(
                                 item.key, generation, owner
                             )
                             if status == "won":
@@ -558,25 +525,42 @@ class FleetScheduler:
                     time.sleep(CLAIM_POLL_S)
             if outcome is None:
                 with req.stats.stage("dp"):
-                    outcome = self._compute_single(req, item.job)
-                if outcome.ok and req.writable:
-                    with req.stats.stage("cache"):
-                        if req.store_put(item.key, outcome.record, item.name):
-                            req.stats.cache_puts += 1
-                with self._lock:
-                    self.jobs_computed += 1
+                    outcome = run_inline([item.job], req.config.pool_max_retries)[0]
+                self._settle(req, item, outcome)
             return outcome
         finally:
             if lease is not None:
-                store.disk.release_claims([(item.key, lease)])
+                disk.release_claims([(item.key, lease)])
                 req.note_claim("released")
             if flight is not None:
-                shareable = (
-                    outcome
-                    if (outcome is not None and outcome.ok and req.shares)
-                    else None
-                )
-                self._publish(item.key, flight, shareable)
+                self._publish(item.key, flight, outcome)
+
+    def _splice_tier2(
+        self, req: FleetRequest, item: WaveItem
+    ) -> Optional[JobOutcome]:
+        """Splice ``item``'s record straight out of the shared tier-2
+        store, where a foreign daemon put it (``claims["hits"]``).
+
+        A record that crosses a process boundary is re-verified
+        regardless of ``verify_level``, like in-process dedup splices: a
+        verified one is promoted to the memory tier, a rejected one is
+        invalidated.  ``None`` when there is no usable record.
+        """
+        assert req.store is not None
+        assert item.key is not None
+        record, _corrupt = req.store.disk.get(item.key)
+        if record is None:
+            return None
+        if not req.verify(record, item.job):
+            req.store_invalidate(item.key)
+            req.stats.cache_rejected += 1
+            return None
+        if req.tele is not None:
+            req.tele.note(TIER_SQLITE, "hits")
+            req.tele.note(TIER_MEMORY, "promotions")
+        req.store.memory.put(item.key, record)
+        req.note_claim("hits")
+        return JobOutcome(record)
 
     # ------------------------------------------------------------------
     def _try_cache(self, req: FleetRequest, item: WaveItem) -> Optional[EmissionRecord]:
@@ -621,48 +605,61 @@ class FleetScheduler:
                     not fault_mod.is_active()
                     and sum(dag_size(job.dag) for job in batch) < inline_threshold
                 ):
-                    outcomes = [run_supernode_job_guarded(job) for job in batch]
-                else:
+                    outcomes = run_inline(batch, req.config.pool_max_retries)
+                elif req.runner is not None:
                     # A private runner (fault-armed request) is exclusive
                     # to this request: fair-share admission does not
                     # apply, and its unclamped worker count must stand so
                     # injected worker faults land in real workers.
-                    if req.runner is not None:
-                        outcomes = req.runner.run_batch_outcomes(
-                            batch, events=req.events
-                        )
-                    else:
-                        outcomes = self._shared_runner().run_batch_outcomes(
-                            batch, max_chunks=self.allowance(req), events=req.events
-                        )
+                    outcomes = req.runner.run_batch_outcomes(
+                        batch, events=req.events
+                    )
+                else:
+                    outcomes = self._shared_runner().run_batch_outcomes(
+                        batch, max_chunks=self.allowance(req), events=req.events
+                    )
         except BaseException:
             for item, flight in leaders:
                 if flight is not None:
                     self._publish(item.key, flight, None)
             raise
         for (item, flight), outcome in zip(leaders, outcomes):
-            if outcome.ok and req.writable and item.key is not None:
-                with req.stats.stage("cache"):
-                    if req.store_put(item.key, outcome.record, item.name):
-                        req.stats.cache_puts += 1
-            # Breach outcomes go back to the engine's degradation ladder
-            # un-published as results but the flight must still release:
-            # a ladder output is request-local and never shareable.
             results[item.name] = outcome
-            with self._lock:
-                self.jobs_computed += 1
-            if flight is not None:
-                shareable = outcome if (outcome.ok and req.shares) else None
-                self._publish(item.key, flight, shareable)
+            self._settle(req, item, outcome, flight)
+
+    def _settle(
+        self,
+        req: FleetRequest,
+        item: WaveItem,
+        outcome: JobOutcome,
+        flight: Optional[_Flight] = None,
+    ) -> None:
+        """Book one computed outcome: put it in the tiers (read-write
+        runs), count it, then publish ``flight`` when one is given."""
+        if outcome.ok and req.writable and item.key is not None:
+            with req.stats.stage("cache"):
+                if req.store_put(item.key, outcome.record, item.name):
+                    req.stats.cache_puts += 1
+        with self._lock:
+            self.jobs_computed += 1
+        if flight is not None:
+            self._publish(item.key, flight, outcome)
 
     def _publish(
         self, key: Optional[str], flight: _Flight, outcome: Optional[JobOutcome]
     ) -> None:
-        """Resolve a flight (releasing its followers) and retire it."""
+        """Resolve a flight (releasing its followers) and retire it.
+
+        Followers are handed only a successful outcome of a sharing
+        owner.  A breach goes back to the owner's degradation ladder,
+        whose output is request-local; anything unshareable releases
+        the followers to retry independently.
+        """
         with self._lock:
             if key is not None and self._flights.get(key) is flight:
                 del self._flights[key]
-        flight.outcome = outcome
+        shareable = outcome is not None and outcome.ok and flight.owner.shares
+        flight.outcome = outcome if shareable else None
         flight.published = True
         flight.event.set()
 
@@ -672,42 +669,23 @@ class FleetScheduler:
         """Follower path: block on the leader, splice or retry."""
         with req.stats.stage("dedup"):
             released = flight.event.wait(timeout=FLIGHT_WAIT_TIMEOUT_S)
-        outcome = flight.outcome if released else None
-        if outcome is not None and outcome.ok:
-            record = outcome.record
-            assert record is not None
-            # Defense in depth: a shared record crosses a request
-            # boundary, so it is re-verified like a cache hit would be —
-            # regardless of verify_level.
-            if req.verify(record, item.job):
-                req.stats.dedup_hits += 1
-                with self._lock:
-                    self.dedup_hits += 1
-                return JobOutcome(record)
+        shared = flight.outcome if released else None
+        record = shared.record if shared is not None else None
+        # Defense in depth: a shared record crosses a request boundary,
+        # so it is re-verified like a cache hit would be — regardless of
+        # verify_level.
+        if record is not None and req.verify(record, item.job):
+            req.stats.dedup_hits += 1
+            with self._lock:
+                self.dedup_hits += 1
+            return JobOutcome(record)
         req.stats.dedup_retries += 1
         with self._lock:
             self.dedup_retries += 1
         with req.stats.stage("dp"):
-            outcome = self._compute_single(req, item.job)
-        if outcome.ok and req.writable and item.key is not None:
-            with req.stats.stage("cache"):
-                if req.store_put(item.key, outcome.record, item.name):
-                    req.stats.cache_puts += 1
-        with self._lock:
-            self.jobs_computed += 1
+            outcome = run_inline([item.job], req.config.pool_max_retries)[0]
+        self._settle(req, item, outcome)
         return outcome
-
-    def _compute_single(self, req: FleetRequest, job: SupernodeJob) -> JobOutcome:
-        """Guarded in-process execution with the pool's retry bound
-        (the follower-retry path; never dispatched to workers)."""
-        retries = req.config.pool_max_retries
-        for attempt in range(retries + 1):
-            try:
-                return run_supernode_job_guarded(job)
-            except Exception:
-                if attempt >= retries:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -235,6 +235,22 @@ def run_supernode_jobs_guarded(jobs: Sequence[SupernodeJob]) -> List[JobOutcome]
     return [run_supernode_job_guarded(job) for job in jobs]
 
 
+def run_inline(jobs: Sequence[SupernodeJob], max_retries: int) -> List[JobOutcome]:
+    """Guarded in-process execution with bounded in-place retries (the
+    one-worker, serial-fallback and fleet inline path; transient injected
+    raises are retried here exactly like pool retries would)."""
+    outcomes: List[JobOutcome] = []
+    for job in jobs:
+        for attempt in range(max_retries + 1):
+            try:
+                outcomes.append(run_supernode_job_guarded(job))
+                break
+            except Exception:
+                if attempt >= max_retries:
+                    raise
+    return outcomes
+
+
 def chunk_jobs(
     batch: Sequence[SupernodeJob], chunks: int
 ) -> List[List[int]]:
@@ -300,9 +316,8 @@ class JobRunner:
         cannot come from the lifetime :attr:`failure_events` list).
         """
         chunk_cap = self.workers if max_chunks is None else min(self.workers, max_chunks)
-        indices = list(range(len(batch)))
         if self.workers == 1 or len(batch) <= 1 or chunk_cap <= 1:
-            return self._run_inline(indices, batch)
+            return run_inline(batch, self.max_retries)
         groups = chunk_jobs(batch, chunk_cap)
         results: List[Optional[JobOutcome]] = [None] * len(batch)
         pending = groups
@@ -343,7 +358,8 @@ class JobRunner:
                 self.failure_events.append(event)
                 if events is not None:
                     events.append(event)
-                for i, outcome in zip(flat, self._run_inline(flat, batch)):
+                inline = run_inline([batch[i] for i in flat], self.max_retries)
+                for i, outcome in zip(flat, inline):
                     results[i] = outcome
                 break
             event = PoolFailureEvent(
@@ -363,24 +379,6 @@ class JobRunner:
                 f"pool execution lost result(s) for job(s): {', '.join(missing)}"
             )
         return results  # type: ignore[return-value]
-
-    def _run_inline(
-        self, indices: Sequence[int], batch: Sequence[SupernodeJob]
-    ) -> List[JobOutcome]:
-        """Guarded in-process execution with bounded in-place retries
-        (the serial-fallback and one-worker path; transient injected
-        raises are retried here exactly like pool retries would)."""
-        outcomes: List[JobOutcome] = []
-        for i in indices:
-            job = batch[i]
-            for attempt in range(self.max_retries + 1):
-                try:
-                    outcomes.append(run_supernode_job_guarded(job))
-                    break
-                except Exception:
-                    if attempt >= self.max_retries:
-                        raise
-        return outcomes
 
     def _pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:

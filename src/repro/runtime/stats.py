@@ -295,8 +295,9 @@ class RuntimeStats:
         cache-off runs.
     dedup_hits:
         Supernode computations this run *did not* execute because the
-        fleet's singleflight layer let it splice another in-flight
-        request's verified result.
+        fleet's singleflight layer let it splice a verified result from
+        an open flight on the same signature: another request's, or the
+        run's own for a signature repeated inside one wavefront.
     dedup_retries:
         Singleflight waits that ended in a failed or unshareable flight,
         forcing this run to recompute independently.

@@ -293,7 +293,7 @@ class SqliteTier:
             self.root.mkdir(parents=True, exist_ok=True)
         conn = sqlite3.connect(str(self.path), timeout=_BUSY_TIMEOUT_MS / 1000.0)
         conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
-        conn.execute("PRAGMA journal_mode=WAL")
+        self._enable_wal(conn)
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute(
             "CREATE TABLE IF NOT EXISTS records ("
@@ -301,14 +301,34 @@ class SqliteTier:
         )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS claims ("
-            "key TEXT PRIMARY KEY, owner TEXT NOT NULL, "
-            "generation INTEGER NOT NULL, waits INTEGER NOT NULL DEFAULT 0)"
+            "key TEXT PRIMARY KEY, owner TEXT NOT NULL, generation INTEGER NOT NULL)"
         )
         conn.execute(
             "CREATE TABLE IF NOT EXISTS claim_gen ("
             "id INTEGER PRIMARY KEY CHECK (id = 1), gen INTEGER NOT NULL)"
         )
         return conn
+
+    @staticmethod
+    def _enable_wal(conn: sqlite3.Connection) -> None:
+        """Switch the store to WAL mode, waiting out a concurrent opener.
+
+        The mode is stored in the file, so a store already in WAL is
+        done.  Switching a fresh file needs an exclusive lock, and sqlite
+        answers a locked switch with ``database is locked`` at once
+        instead of running the busy handler, so the switch is retried
+        here until the busy timeout.  Any other error is raised at once.
+        """
+        deadline = time.monotonic() + _BUSY_TIMEOUT_MS / 1000.0
+        while True:
+            try:
+                if conn.execute("PRAGMA journal_mode").fetchone()[0] != "wal":
+                    conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.01)
 
     def _heal(self) -> None:
         """Drop a damaged database file (and WAL side-files) wholesale."""
@@ -494,6 +514,8 @@ class SqliteTier:
                     staged: Dict[str, Tuple[str, int, str]] = {}
                     generation: Optional[int] = None
                     for key in keys:
+                        if key in staged:
+                            continue  # a repeated key is claimed once
                         row = conn.execute(
                             "SELECT owner, generation FROM claims WHERE key = ?",
                             (key,),
@@ -504,8 +526,8 @@ class SqliteTier:
                         if generation is None:
                             generation = self._next_generation(conn)
                         conn.execute(
-                            "INSERT INTO claims (key, owner, generation, waits) "
-                            "VALUES (?, ?, ?, 0)",
+                            "INSERT INTO claims (key, owner, generation) "
+                            "VALUES (?, ?, ?)",
                             (key, owner, generation),
                         )
                         staged[key] = ("won", generation, owner)
@@ -546,8 +568,8 @@ class SqliteTier:
                 if conn is not None:
                     conn.close()
 
-    def claim_state(self, key: str) -> Optional[Tuple[str, int, int]]:
-        """``(owner, generation, waits)`` of the live lease, or ``None``."""
+    def claim_state(self, key: str) -> Optional[Tuple[str, int]]:
+        """``(owner, generation)`` of the live lease, or ``None``."""
         with self._lock:
             conn: Optional[sqlite3.Connection] = None
             try:
@@ -555,36 +577,14 @@ class SqliteTier:
                 if conn is None:
                     return None
                 row = conn.execute(
-                    "SELECT owner, generation, waits FROM claims WHERE key = ?",
+                    "SELECT owner, generation FROM claims WHERE key = ?",
                     (key,),
                 ).fetchone()
                 if row is None:
                     return None
-                return str(row[0]), int(row[1]), int(row[2])
+                return str(row[0]), int(row[1])
             except sqlite3.Error:
                 return None
-            finally:
-                if conn is not None:
-                    conn.close()
-
-    def bump_claim_wait(self, key: str, generation: int) -> bool:
-        """Tick the lease's ``waits`` column (telemetry that a waiter is
-        parked on it); False when that exact lease no longer exists."""
-        with self._lock:
-            conn: Optional[sqlite3.Connection] = None
-            try:
-                conn = self._connect(create=False)
-                if conn is None:
-                    return False
-                with conn:
-                    cur = conn.execute(
-                        "UPDATE claims SET waits = waits + 1 "
-                        "WHERE key = ? AND generation = ?",
-                        (key, generation),
-                    )
-                return cur.rowcount > 0
-            except sqlite3.Error:
-                return False
             finally:
                 if conn is not None:
                     conn.close()
@@ -620,8 +620,7 @@ class SqliteTier:
                     else:
                         new_gen = self._next_generation(conn)
                         conn.execute(
-                            "UPDATE claims SET owner = ?, generation = ?, waits = 0 "
-                            "WHERE key = ?",
+                            "UPDATE claims SET owner = ?, generation = ? WHERE key = ?",
                             (owner, new_gen, key),
                         )
                         result = ("won", new_gen, owner)

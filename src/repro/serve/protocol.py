@@ -51,7 +51,6 @@ CONFIG_ALLOWLIST = (
     "remote_deadline_s",
     "remote_retries",
     "remote_breaker",
-    "cache_claims",
     "fleet_weight",
     "verify_level",
     "collapse",

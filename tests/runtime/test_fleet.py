@@ -5,10 +5,12 @@ with every duplicated signature computed exactly once."""
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
 from repro.core import DDBDDConfig, ddbdd_synthesize
+from repro.network.netlist import BooleanNetwork
 from repro.runtime.fleet import get_fleet, reset_fleet
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.tiers import SqliteTier, TieredEmissionCache
@@ -16,6 +18,7 @@ from tests.conftest import random_gate_network
 from tests.runtime.helpers import net_dump
 
 import repro.runtime.fleet as fleet_mod
+import repro.runtime.pool as pool_mod
 import repro.runtime.schedule as sched
 
 
@@ -79,7 +82,7 @@ def test_concurrent_identical_requests_dedup_exactly(tmp_path, monkeypatch):
     clean = ddbdd_synthesize(net, DDBDDConfig(jobs=1, faults=None))
 
     fleet = get_fleet()
-    real_compute = fleet_mod.run_supernode_job_guarded
+    real_compute = pool_mod.run_supernode_job_guarded
 
     def gated(job):
         # Hold each leader's computation until the other K-1 requests
@@ -97,7 +100,7 @@ def test_concurrent_identical_requests_dedup_exactly(tmp_path, monkeypatch):
             time.sleep(0.001)
         return real_compute(job)
 
-    monkeypatch.setattr(fleet_mod, "run_supernode_job_guarded", gated)
+    monkeypatch.setattr(pool_mod, "run_supernode_job_guarded", gated)
 
     before = fleet.snapshot()
     results: list = [None] * K
@@ -209,14 +212,48 @@ def test_cold_run_claims_every_computed_key(tmp_path):
     reset_fleet()
 
 
-def test_cache_claims_off_disables_coordination(tmp_path):
+def _twin_cones(seed: int) -> BooleanNetwork:
+    """Two copies of one random cone on disjoint PIs: every supernode of
+    the first copy has an identical twin (same content signature) in
+    the same wavefront."""
+    rng = random.Random(seed)
+    gates = []
+    sigs = [f"i{k}" for k in range(8)]
+    for g in range(30):
+        op = rng.choice(("and", "or", "xor", "nand", "mux", "maj"))
+        arity = 3 if op in ("mux", "maj") else 2
+        gates.append((f"g{g}", op, rng.sample(sorted(sigs[-12:]), arity)))
+        sigs.append(f"g{g}")
+    net = BooleanNetwork(f"twins{seed}")
+    for copy in ("a", "b"):
+        for k in range(8):
+            net.add_pi(f"{copy}_i{k}")
+        for name, op, fanins in gates:
+            net.add_gate(f"{copy}_{name}", op, [f"{copy}_{f}" for f in fanins])
+        for k, driver in enumerate(sigs[-3:]):
+            net.add_po(f"{copy}_o{k}", f"{copy}_{driver}")
+    net.check()
+    return net
+
+
+def test_own_duplicate_signatures_follow_their_own_flight(tmp_path):
+    """A signature repeated inside one request's wave is computed once:
+    the later copies follow the request's own flight (dedup hits), never
+    wait on the request's own sqlite lease."""
     reset_fleet()
-    net = random_gate_network(52, n_pi=8, n_gates=30, n_po=4)
+    net = _twin_cones(60)
+    clean = ddbdd_synthesize(net, DDBDDConfig(jobs=1, cache="off", faults=None))
     result = ddbdd_synthesize(net, DDBDDConfig(
-        jobs=1, cache="readwrite", cache_dir=str(tmp_path),
-        cache_claims=False, faults=None,
+        jobs=2, cache="readwrite", cache_dir=str(tmp_path), faults=None,
     ))
-    assert result.runtime_stats.claims == {}
+    stats = result.runtime_stats
+    assert net_dump(result.network) == net_dump(clean.network)
+    assert "held" not in stats.claims and "reaped" not in stats.claims
+    assert "claim" not in stats.stage_seconds
+    distinct = len(SqliteTier(tmp_path).keys())
+    assert stats.cache_misses == 2 * distinct, "one twin per supernode"
+    assert stats.dedup_hits == distinct, "every twin followed its first copy"
+    assert stats.claims.get("won") == distinct
     reset_fleet()
 
 

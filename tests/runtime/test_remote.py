@@ -217,7 +217,7 @@ def test_config_validates_remote_knobs(monkeypatch):
     assert DDBDDConfig().cache_remote is None
     cfg = DDBDDConfig(
         cache_remote="http://127.0.0.1:9", remote_deadline_s=0.5,
-        remote_retries=0, remote_breaker="2/4/1", cache_claims=False,
+        remote_retries=0, remote_breaker="2/4/1",
     )
     assert cfg.cache_remote == "http://127.0.0.1:9"
     with pytest.raises(ValueError):

@@ -143,6 +143,30 @@ def test_sqlite_tier_concurrent_writers_share_one_file(tmp_path):
         assert record is not None and corrupt == 0
 
 
+def test_put_waits_out_a_lock_taken_while_the_store_switches_to_wal(tmp_path):
+    # Two handles opening a fresh store at once: the second holds a
+    # write lock while the first put switches the file to WAL.  The
+    # switch must wait for the lock like any other statement, not fail
+    # at once and drop the put.
+    tier = SqliteTier(tmp_path)
+    tier.root.mkdir(parents=True, exist_ok=True)
+    holder = sqlite3.connect(tier.path, isolation_level=None)
+    holder.execute("BEGIN IMMEDIATE")
+    outcome: list = []
+    writer = threading.Thread(
+        target=lambda: outcome.append(tier.put(_key(11), _record(11)))
+    )
+    writer.start()
+    writer.join(0.5)
+    holder.execute("COMMIT")
+    holder.close()
+    writer.join(30)
+    assert not writer.is_alive()
+    assert outcome[0][0], "the put was dropped"
+    record, corrupt = SqliteTier(tmp_path).get(_key(11))
+    assert record == _record(11) and corrupt == 0
+
+
 # ----------------------------------------------------------------------
 # The stacked store
 # ----------------------------------------------------------------------
@@ -195,19 +219,50 @@ def test_claim_many_wins_then_holds(tmp_path):
     assert held[_key(3)][1] > gen, "generations are monotonic"
 
 
-def test_claim_state_and_wait_bump(tmp_path):
+def test_claim_many_claims_a_repeated_key_once(tmp_path):
+    # A key repeated in one call is claimed once and comes back won; the
+    # second occurrence must not read back the caller's own fresh lease
+    # as "held".
+    tier = SqliteTier(tmp_path)
+    grants = tier.claim_many([_key(8), _key(9), _key(8)], "d:1")
+    assert set(grants) == {_key(8), _key(9)}
+    assert grants[_key(8)][0] == "won"
+    assert grants[_key(8)] == grants[_key(9)]
+    assert tier.claim_state(_key(8)) == ("d:1", grants[_key(8)][1])
+
+
+def test_claim_state_reports_the_live_lease(tmp_path):
     tier = SqliteTier(tmp_path)
     assert tier.claim_state(_key(4)) is None
     (status, gen, owner) = tier.claim_many([_key(4)], "d:1")[_key(4)]
     assert (status, owner) == ("won", "d:1")
-    assert tier.claim_state(_key(4)) == ("d:1", gen, 0)
-    assert tier.bump_claim_wait(_key(4), gen) is True
-    assert tier.claim_state(_key(4)) == ("d:1", gen, 1)
-    # Bumping a generation that no longer exists reports False.
-    assert tier.bump_claim_wait(_key(4), gen + 99) is False
+    assert tier.claim_state(_key(4)) == ("d:1", gen)
+    # Releasing a generation that no longer exists leaves the lease.
+    tier.release_claims([(_key(4), gen + 99)])
+    assert tier.claim_state(_key(4)) == ("d:1", gen)
     tier.release_claims([(_key(4), gen)])
     assert tier.claim_state(_key(4)) is None
-    assert tier.bump_claim_wait(_key(4), gen) is False
+
+
+def test_claims_work_on_a_store_with_the_legacy_waits_column(tmp_path):
+    # Stores written before the lease row shrank to (owner, generation)
+    # still carry a NOT NULL ``waits`` column with a default.
+    tier = SqliteTier(tmp_path)
+    tier.root.mkdir(parents=True, exist_ok=True)
+    with sqlite3.connect(tier.path) as conn:
+        conn.execute(
+            "CREATE TABLE claims (key TEXT PRIMARY KEY, owner TEXT NOT NULL, "
+            "generation INTEGER NOT NULL, waits INTEGER NOT NULL DEFAULT 0)"
+        )
+    conn.close()
+    (status, gen, _) = tier.claim_many([_key(10)], "dead:1")[_key(10)]
+    assert status == "won"
+    assert tier.claim_state(_key(10)) == ("dead:1", gen)
+    status, gen2, _ = tier.reap_claim(_key(10), gen, "live:2")
+    assert status == "won"
+    assert tier.claim_state(_key(10)) == ("live:2", gen2)
+    tier.release_claims([(_key(10), gen2)])
+    assert tier.claim_state(_key(10)) is None
 
 
 def test_release_is_generation_guarded(tmp_path):
@@ -218,7 +273,7 @@ def test_release_is_generation_guarded(tmp_path):
     assert (status, owner) == ("won", "live:2") and gen2 > gen
     # The dead owner's late release must NOT touch the fresh lease.
     tier.release_claims([(_key(5), gen)])
-    assert tier.claim_state(_key(5)) == ("live:2", gen2, 0)
+    assert tier.claim_state(_key(5)) == ("live:2", gen2)
     tier.release_claims([(_key(5), gen2)])
     assert tier.claim_state(_key(5)) is None
 
@@ -230,11 +285,10 @@ def test_reap_claim_ladder(tmp_path):
     (_, gen, _) = tier.claim_many([_key(6)], "a:1")[_key(6)]
     # held: the lease changed hands first — watch the new generation.
     assert tier.reap_claim(_key(6), gen - 1, "x:1") == ("held", gen, "a:1")
-    # won: exact-generation takeover resets the waits column.
-    assert tier.bump_claim_wait(_key(6), gen)
+    # won: exact-generation takeover hands the lease to the reaper.
     status, gen2, _ = tier.reap_claim(_key(6), gen, "x:1")
     assert status == "won"
-    assert tier.claim_state(_key(6)) == ("x:1", gen2, 0)
+    assert tier.claim_state(_key(6)) == ("x:1", gen2)
 
 
 def test_claims_degrade_on_damaged_database(tmp_path):
@@ -268,7 +322,7 @@ def test_contended_claims_and_puts_never_drop_or_corrupt(tmp_path):
                         won.append((claim_keys[i], gen))
                     else:
                         assert status == "held"
-                        tier.bump_claim_wait(claim_keys[i], gen)
+                        assert tier.claim_state(claim_keys[i]) is not None
             wins.append(won)
         except Exception as exc:  # pragma: no cover - the test's point
             errors.append(exc)

@@ -7,6 +7,7 @@ lifecycle tests (drain/503) start their own instance.
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.flow import run_flow
 from repro.network import network_to_blif
 from repro.runtime.stats import STATS_SCHEMA
 from repro.serve import ServerConfig
+from repro.serve import app as app_mod
 from tests.serve.helpers import DaemonHarness
 
 
@@ -189,12 +191,22 @@ class TestQuotasEndToEnd:
             assert stats["peak_running"] == 1
             assert stats["running"] == 0 and stats["waiting"] == 0
 
-    def test_tenant_queue_limit_429(self):
+    def test_tenant_queue_limit_429(self, monkeypatch):
+        # Jobs are held until the submits are in, so the first job
+        # occupies the worker however fast it would otherwise finish.
+        release = threading.Event()
+        real_execute = app_mod._execute
+
+        def held_execute(request, observer):
+            release.wait(60)
+            return real_execute(request, observer)
+
+        monkeypatch.setattr(app_mod, "_execute", held_execute)
         harness = DaemonHarness(
             ServerConfig(max_workers=1, tenant_concurrency=1, tenant_queue_limit=1)
         ).start()
         try:
-            # A slow job occupies the worker; the next submit waits (1
+            # A held job occupies the worker; the next submit waits (1
             # allowed), the one after that must be refused.
             harness.submit({"benchmark": "9sym", "tenant": "alice"})
             statuses = []
@@ -207,6 +219,7 @@ class TestQuotasEndToEnd:
             _, health = harness.request("GET", "/healthz")
             assert health["rejected"] >= 1
         finally:
+            release.set()
             harness.stop()
 
 

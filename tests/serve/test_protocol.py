@@ -60,10 +60,11 @@ class TestRejections:
         exc = submit_error({"benchmark": "mux", "config": {"jbos": 2}})
         assert exc.code == "invalid_config"
         assert "jbos" in exc.message
-        # A knob that no longer exists is refused the same way.
-        exc = submit_error({"benchmark": "mux", "config": {"cache_tier": "legacy"}})
-        assert (exc.status, exc.code) == (400, "invalid_config")
-        assert "cache_tier" in exc.message
+        # Knobs that no longer exist are refused the same way.
+        for gone, value in (("cache_tier", "legacy"), ("cache_claims", False)):
+            exc = submit_error({"benchmark": "mux", "config": {gone: value}})
+            assert (exc.status, exc.code) == (400, "invalid_config")
+            assert gone in exc.message
 
     def test_non_allowlisted_config_key(self):
         # A real DDBDDConfig field that is server policy, not client's.
@@ -131,13 +132,11 @@ class TestAccepted:
             "remote_deadline_s": 0.5,
             "remote_retries": 0,
             "remote_breaker": "2/4/1",
-            "cache_claims": False,
         }})
         assert req.config.cache_remote == "http://127.0.0.1:9"
         assert req.config.remote_deadline_s == 0.5
         assert req.config.remote_retries == 0
         assert req.config.remote_breaker == "2/4/1"
-        assert req.config.cache_claims is False
 
     def test_bad_remote_knob_is_structured_400(self):
         exc = submit_error({"benchmark": "mux",
